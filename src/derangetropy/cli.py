@@ -4,10 +4,6 @@ Subcommands: transform, iterate, verify, spectral, figures. All outputs are
 deterministic data files (CSV with 17-significant-digit values, or JSON), so
 identical flags produce byte-identical bytes. Exit codes: 0 success, 1 a
 verification check failed, 2 usage error, 3 I/O error.
-
-The DLAB_THREADS environment variable caps the worker count. Quadrature
-reductions are pairwise and order-fixed, so results do not depend on it; it
-exists to bound resource use on shared machines.
 """
 
 from __future__ import annotations
@@ -24,7 +20,7 @@ import numpy as np
 from . import residuals as res
 from . import spectral
 from .distributions import FAMILIES, DistributionSpec, median
-from .grid import GridDensity, cdf_of, from_analytic, format_value, simpson
+from .grid import GridDensity, cdf_of, csv_rows, from_analytic, simpson
 from .transforms import (
     TransformKind,
     iterate,
@@ -45,19 +41,6 @@ _SUITES = ("normalization", "constants", "ode", "cf", "median", "convergence", "
 
 class UsageError(Exception):
     pass
-
-
-def _worker_cap() -> int:
-    raw = os.environ.get("DLAB_THREADS", "")
-    if not raw:
-        return 1
-    try:
-        cap = int(raw)
-    except ValueError as exc:
-        raise UsageError(f"DLAB_THREADS must be an integer, got {raw!r}") from exc
-    if cap < 1:
-        raise UsageError(f"DLAB_THREADS must be >= 1, got {cap}")
-    return cap
 
 
 def _parse_params(raw: str | None) -> dict[str, float]:
@@ -108,15 +91,8 @@ def cmd_transform(args: argparse.Namespace) -> int:
     g = _build_grid(spec, args.grid)
     kind = _KINDS[args.kind]
     out = transform(kind, g)
-    c = cdf_of(g)
-    lines = ["x,f,F,transformed"]
-    xs = g.xs
-    for i in range(g.n):
-        lines.append(
-            f"{format_value(float(xs[i]))},{format_value(float(g.values[i]))},"
-            f"{format_value(float(c.cumvals[i]))},{format_value(float(out.values[i]))}"
-        )
-    _write_text(args.out, "\n".join(lines) + "\n")
+    table = csv_rows(g.xs, g.values, cdf_of(g).cumvals, out.values)
+    _write_text(args.out, "x,f,F,transformed\n" + table)
     return EXIT_OK
 
 
@@ -250,13 +226,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
         checks.extend(_SUITE_BUILDERS[name]())
     passed = all(c.passed for c in checks)
     if args.format == "csv":
-        lines = ["name,expected,observed,tolerance,passed"]
-        for c in checks:
-            lines.append(
-                f"{c.name},{format_value(c.expected)},{format_value(c.observed)},"
-                f"{format_value(c.tolerance)},{str(c.passed).lower()}"
-            )
-        _write_text(args.out, "\n".join(lines) + "\n")
+        table = csv_rows(
+            [c.name for c in checks],
+            np.array([c.expected for c in checks]),
+            np.array([c.observed for c in checks]),
+            np.array([c.tolerance for c in checks]),
+            [str(c.passed).lower() for c in checks],
+        )
+        _write_text(args.out, "name,expected,observed,tolerance,passed\n" + table)
     else:
         report = {
             "suite": args.suite,
@@ -306,22 +283,16 @@ def cmd_figures(args: argparse.Namespace) -> int:
     os.makedirs(outdir, exist_ok=True)
     for spec in _reference_specs():
         g = _build_grid(spec, args.grid)
-        xs = g.xs
         if args.which == "fig1":
-            header = "x,f,rho,tau"
+            header = "x,f,rho,tau\n"
             a = transform(TransformKind.TYPE1, g)
             b = transform(TransformKind.TYPE2, g)
         else:
-            header = "x,f,nu1,nu2"
+            header = "x,f,nu1,nu2\n"
             a = transform(TransformKind.TYPE3, g)
             b = transform(TransformKind.TYPE3, a)
-        lines = [header]
-        for i in range(g.n):
-            lines.append(
-                f"{format_value(float(xs[i]))},{format_value(float(g.values[i]))},"
-                f"{format_value(float(a.values[i]))},{format_value(float(b.values[i]))}"
-            )
-        _write_text(os.path.join(outdir, f"{spec.family}.csv"), "\n".join(lines) + "\n")
+        table = csv_rows(g.xs, g.values, a.values, b.values)
+        _write_text(os.path.join(outdir, f"{spec.family}.csv"), header + table)
     return EXIT_OK
 
 
@@ -381,7 +352,6 @@ def main(argv: list[str] | None = None) -> int:
         # argparse exits 2 on usage errors and 0 on --help; pass both through
         return int(exc.code or 0)
     try:
-        _worker_cap()
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -56,6 +56,9 @@ class DistributionSpec:
             raise ValueError(f"unknown parameters {sorted(unknown)} for family {self.family!r}")
         merged = {**defaults, **{k: float(v) for k, v in self.params.items()}}
         object.__setattr__(self, "params", merged)
+        for name, value in merged.items():
+            if not math.isfinite(value):
+                raise ValueError(f"{self.family} parameter {name!r} must be finite, got {value}")
         if self.family in ("uniform", "arcsine") and not merged["a"] < merged["b"]:
             raise ValueError(f"{self.family} requires a < b, got a={merged['a']}, b={merged['b']}")
         if self.family == "normal" and not merged["stddev"] > 0:

@@ -62,6 +62,17 @@ def cumulative_simpson(values: np.ndarray, step: float) -> np.ndarray:
     return out
 
 
+def _frozen_nodes(lo: float, hi: float, values) -> np.ndarray:
+    """Read-only float copy of node values, after the checks every grid shares."""
+    vals = np.asarray(values, dtype=float)
+    _check_node_count(vals.shape[0])
+    if not hi > lo:
+        raise ValueError(f"need hi > lo, got [{lo}, {hi}]")
+    vals = vals.copy()
+    vals.setflags(write=False)
+    return vals
+
+
 @dataclass(frozen=True)
 class GridDensity:
     """Nonnegative values sampled on n uniform nodes over [lo, hi]."""
@@ -71,14 +82,9 @@ class GridDensity:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        vals = np.asarray(self.values, dtype=float)
-        _check_node_count(vals.shape[0])
-        if not self.hi > self.lo:
-            raise ValueError(f"need hi > lo, got [{self.lo}, {self.hi}]")
+        vals = _frozen_nodes(self.lo, self.hi, self.values)
         if not np.all(np.isfinite(vals)) or np.any(vals < 0):
             raise ValueError("density values must be finite and nonnegative")
-        vals = vals.copy()
-        vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
     @property
@@ -103,13 +109,7 @@ class GridCdf:
     cumvals: np.ndarray
 
     def __post_init__(self) -> None:
-        vals = np.asarray(self.cumvals, dtype=float)
-        _check_node_count(vals.shape[0])
-        if not self.hi > self.lo:
-            raise ValueError(f"need hi > lo, got [{self.lo}, {self.hi}]")
-        vals = vals.copy()
-        vals.setflags(write=False)
-        object.__setattr__(self, "cumvals", vals)
+        object.__setattr__(self, "cumvals", _frozen_nodes(self.lo, self.hi, self.cumvals))
 
     @property
     def n(self) -> int:
@@ -170,9 +170,17 @@ def moment(g: GridDensity, k: int) -> float:
     return float(np.dot(simpson_weights(g.n, g.step), x**k * g.values))
 
 
+def mean_and_variance(g: GridDensity) -> tuple[float, float]:
+    """Mean and centered variance by Simpson on the grid."""
+    w = simpson_weights(g.n, g.step) * g.values
+    x = g.xs
+    mean = float(np.dot(w, x))
+    # center first so the quadratic does not cancel catastrophically
+    return mean, float(np.dot(w, (x - mean) ** 2))
+
+
 def variance(g: GridDensity) -> float:
-    m1 = moment(g, 1)
-    return moment(g, 2) - m1 * m1
+    return mean_and_variance(g)[1]
 
 
 def median_of(g: GridDensity) -> float:
@@ -208,17 +216,27 @@ def median_of(g: GridDensity) -> float:
 
 
 def format_value(v: float) -> str:
-    """Fixed 17-significant-digit rendering used by every CSV writer."""
+    """Fixed 17-significant-digit rendering of one CSV cell."""
     return f"{v:.17g}"
+
+
+def csv_rows(*columns) -> str:
+    """Equal-length columns as comma-separated lines, each ending in a newline.
+
+    This is the only CSV writer: numeric columns are numpy arrays and every
+    cell goes through format_value; any other column is a sequence of
+    ready-made strings and passes through unchanged. Callers prepend the
+    header line.
+    """
+    cells = [
+        list(map(format_value, col.tolist())) if isinstance(col, np.ndarray) else col
+        for col in columns
+    ]
+    return "".join(line + "\n" for line in map(",".join, zip(*cells)))
 
 
 def density_csv(g: GridDensity, cdf: GridCdf | None = None) -> str:
     """Rows of `x,f` (or `x,f,F` when a CDF is supplied), one per node."""
-    xs = g.xs
-    lines = ["x,f,F" if cdf is not None else "x,f"]
-    for i in range(g.n):
-        cells = [format_value(float(xs[i])), format_value(float(g.values[i]))]
-        if cdf is not None:
-            cells.append(format_value(float(cdf.cumvals[i])))
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+    if cdf is None:
+        return "x,f\n" + csv_rows(g.xs, g.values)
+    return "x,f,F\n" + csv_rows(g.xs, g.values, cdf.cumvals)

@@ -51,44 +51,36 @@ def _validate_interior(F: np.ndarray) -> np.ndarray:
     return F
 
 
-def _type1_derivatives(F: np.ndarray):
-    """rho and its first two F-derivatives via d(log rho)/dF = pi*cot - L."""
+def _entropy_weight_derivatives(s: float, constant: float, F: np.ndarray):
+    """w = constant * sin(pi*F) * exp(s*H(F)) and its first two F-derivatives.
+
+    s = -1 gives Type-I (rho), s = +1 Type-II (tau); d(log w)/dF = pi*cot + s*L.
+    """
     L = np.log((1.0 - F) / F)
-    rho = TYPE1_CONSTANT * np.sin(math.pi * F) * np.exp(-bernoulli_entropy(F))
+    w = constant * np.sin(math.pi * F) * np.exp(s * bernoulli_entropy(F))
     cot = np.cos(math.pi * F) / np.sin(math.pi * F)
     csc2 = 1.0 / np.sin(math.pi * F) ** 2
-    d1 = rho * (math.pi * cot - L)
-    d2 = rho * ((math.pi * cot - L) ** 2 - math.pi**2 * csc2 + 1.0 / (F * (1.0 - F)))
-    return rho, d1, d2, L
+    d1 = w * (math.pi * cot + s * L)
+    d2 = w * ((math.pi * cot + s * L) ** 2 - math.pi**2 * csc2 - s / (F * (1.0 - F)))
+    return w, d1, d2, L
 
 
-def _type2_derivatives(F: np.ndarray):
-    """tau and derivatives; the entropy factor flips sign relative to Type-I."""
-    L = np.log((1.0 - F) / F)
-    tau = TYPE2_CONSTANT * np.sin(math.pi * F) * np.exp(bernoulli_entropy(F))
-    cot = np.cos(math.pi * F) / np.sin(math.pi * F)
-    csc2 = 1.0 / np.sin(math.pi * F) ** 2
-    d1 = tau * (math.pi * cot + L)
-    d2 = tau * ((math.pi * cot + L) ** 2 - math.pi**2 * csc2 - 1.0 / (F * (1.0 - F)))
-    return tau, d1, d2, L
+def _entropy_residual(kind: TransformKind, s: float, constant: float, Fgrid: np.ndarray,
+                      ic_name: str, ic_expected: float) -> ResidualReport:
+    F = _validate_interior(Fgrid)
+    w, d1, d2, L = _entropy_weight_derivatives(s, constant, F)
+    res = d2 - 2.0 * s * L * d1 + (math.pi**2 + s / (F * (1.0 - F)) + L * L) * w
+    _, slope, _, _ = _entropy_weight_derivatives(s, constant, np.array([IC_PROBE]))
+    ics = (IcCheck(ic_name, ic_expected, float(slope[0])),)
+    return ResidualReport(kind, F, res, float(np.max(np.abs(res))), ics)
 
 
 def residual_type1(Fgrid: np.ndarray = DEFAULT_SWEEP) -> ResidualReport:
-    F = _validate_interior(Fgrid)
-    rho, d1, d2, L = _type1_derivatives(F)
-    res = d2 + 2.0 * L * d1 + (math.pi**2 - 1.0 / (F * (1.0 - F)) + L * L) * rho
-    _, slope, _, _ = _type1_derivatives(np.array([IC_PROBE]))
-    ics = (IcCheck("drho_dF_at_0", 24.0 / math.e, float(slope[0])),)
-    return ResidualReport(TransformKind.TYPE1, F, res, float(np.max(np.abs(res))), ics)
+    return _entropy_residual(TransformKind.TYPE1, -1.0, TYPE1_CONSTANT, Fgrid, "drho_dF_at_0", 24.0 / math.e)
 
 
 def residual_type2(Fgrid: np.ndarray = DEFAULT_SWEEP) -> ResidualReport:
-    F = _validate_interior(Fgrid)
-    tau, d1, d2, L = _type2_derivatives(F)
-    res = d2 - 2.0 * L * d1 + (math.pi**2 + 1.0 / (F * (1.0 - F)) + L * L) * tau
-    _, slope, _, _ = _type2_derivatives(np.array([IC_PROBE]))
-    ics = (IcCheck("dtau_dF_at_0", math.e, float(slope[0])),)
-    return ResidualReport(TransformKind.TYPE2, F, res, float(np.max(np.abs(res))), ics)
+    return _entropy_residual(TransformKind.TYPE2, 1.0, TYPE2_CONSTANT, Fgrid, "dtau_dF_at_0", math.e)
 
 
 def residual_type3(Fgrid: np.ndarray = DEFAULT_SWEEP) -> ResidualReport:

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .grid import GridDensity, cdf_of, format_value, median_of, simpson, simpson_weights
+from .grid import GridDensity, cdf_of, csv_rows, mean_and_variance, median_of, simpson, simpson_weights
 from .transforms import TransformKind, transform_step, transform_values
 
 DEFAULT_TSTEP = math.tau / 64.0
@@ -190,14 +190,6 @@ class ConvergenceDiagnostics:
         return self.variance.shape[0] - 1
 
 
-def _mean_and_variance(g: GridDensity) -> tuple[float, float]:
-    w = simpson_weights(g.n, g.step) * g.values
-    x = g.xs
-    mean = float(np.dot(w, x))
-    # center first so the quadratic does not cancel catastrophically
-    return mean, float(np.dot(w, (x - mean) ** 2))
-
-
 def _regrid(g: GridDensity, mean: float, sd: float) -> GridDensity:
     """Resample onto a window of +-RESCALE_WINDOW_SIGMAS around the mean."""
     lo = max(g.lo, mean - RESCALE_WINDOW_SIGMAS * sd)
@@ -247,11 +239,11 @@ def gaussian_convergence(kind: TransformKind, g: GridDensity, n: int,
     for step in range(n + 1):
         if step > 0:
             current = transform_step(kind, current).density
-            mean, var = _mean_and_variance(current)
+            mean, var = mean_and_variance(current)
             sd = math.sqrt(max(var, 0.0))
             if sd > 0 and (current.hi - current.lo) > REGRID_SPAN_FACTOR * RESCALE_WINDOW_SIGMAS * sd:
                 current = _regrid(current, mean, sd)
-        mean, var = _mean_and_variance(current)
+        mean, var = mean_and_variance(current)
         sd = math.sqrt(max(var, 0.0))
         variances.append(var)
         medians.append(median_of(current))
@@ -271,19 +263,10 @@ def gaussian_convergence(kind: TransformKind, g: GridDensity, n: int,
 
 
 def diagnostics_csv(d: ConvergenceDiagnostics) -> str:
-    lines = ["n,variance,median,sup_distance,rate_product"]
-    for k in range(d.variance.shape[0]):
-        lines.append(
-            f"{k},{format_value(float(d.variance[k]))},{format_value(float(d.median[k]))},"
-            f"{format_value(float(d.sup_distance[k]))},{format_value(float(d.rate_product[k]))}"
-        )
-    return "\n".join(lines) + "\n"
+    return "n,variance,median,sup_distance,rate_product\n" + csv_rows(
+        np.arange(d.variance.shape[0]), d.variance, d.median, d.sup_distance, d.rate_product
+    )
 
 
 def cf_csv(phi: CharFunction) -> str:
-    lines = ["t,re,im"]
-    ts = phi.ts
-    for i in range(ts.shape[0]):
-        v = phi.values[i]
-        lines.append(f"{format_value(float(ts[i]))},{format_value(v.real)},{format_value(v.imag)}")
-    return "\n".join(lines) + "\n"
+    return "t,re,im\n" + csv_rows(phi.ts, phi.values.real, phi.values.imag)

@@ -28,12 +28,11 @@ from .grid import (
     GridCdf,
     GridDensity,
     cdf_of,
-    format_value,
+    csv_rows,
     integrate,
+    mean_and_variance,
     median_of,
-    moment,
     simpson,
-    variance,
 )
 
 TYPE1_CONSTANT = 24.0 / (math.pi * math.e)
@@ -105,13 +104,25 @@ def transform(kind: TransformKind, g: GridDensity) -> GridDensity:
     return transform_step(kind, g).density
 
 
-def log_derivative_grid(kind: TransformKind, g: GridDensity) -> tuple[np.ndarray, np.ndarray]:
-    """Interior nodes and the closed-form log-derivative of the transform there.
+def _chain_rule(kind: TransformKind, F, f, dlnf):
+    """Log-derivative of the transformed density from F, f and f'/f at nodes.
 
     The chain rule through z = F(x) gives, with L = ln(F/(1-F)),
       Type-I    pi*cot(pi*F)*f + L*f + f'/f
       Type-II   pi*cot(pi*F)*f - L*f + f'/f
       Type-III  2*pi*cot(pi*F)*f + f'/f
+    """
+    cot = np.cos(math.pi * F) / np.sin(math.pi * F)
+    if kind == TransformKind.TYPE1:
+        return math.pi * cot * f + np.log(F / (1.0 - F)) * f + dlnf
+    if kind == TransformKind.TYPE2:
+        return math.pi * cot * f - np.log(F / (1.0 - F)) * f + dlnf
+    return 2.0 * math.pi * cot * f + dlnf
+
+
+def log_derivative_grid(kind: TransformKind, g: GridDensity) -> tuple[np.ndarray, np.ndarray]:
+    """Interior nodes and the closed-form log-derivative of the transform there.
+
     f'/f comes from central differences of log f, the only derivative a
     tabulated density has. Nodes where F has left (0, 1) or f vanishes are
     dropped rather than raising, so the profile stays usable near support
@@ -122,17 +133,7 @@ def log_derivative_grid(kind: TransformKind, g: GridDensity) -> tuple[np.ndarray
     keep = (F > 0) & (F < 1) & (f > 0) & (g.values[:-2] > 0) & (g.values[2:] > 0)
     logf = np.log(g.values, out=np.full(g.n, -np.inf), where=g.values > 0)
     dlnf = (logf[2:] - logf[:-2]) / (2.0 * g.step)
-    cot = np.zeros_like(F)
-    lodds = np.zeros_like(F)
-    cot[keep] = np.cos(math.pi * F[keep]) / np.sin(math.pi * F[keep])
-    lodds[keep] = np.log(F[keep] / (1.0 - F[keep]))
-    if kind == TransformKind.TYPE1:
-        vals = math.pi * cot * f + lodds * f + dlnf
-    elif kind == TransformKind.TYPE2:
-        vals = math.pi * cot * f - lodds * f + dlnf
-    else:
-        vals = 2.0 * math.pi * cot * f + dlnf
-    return g.xs[1:-1][keep], vals[keep]
+    return g.xs[1:-1][keep], _chain_rule(kind, F[keep], f[keep], dlnf[keep])
 
 
 def log_derivative(kind: TransformKind, g: GridDensity, x: float) -> float:
@@ -145,12 +146,7 @@ def log_derivative(kind: TransformKind, g: GridDensity, x: float) -> float:
     if not (0.0 < F < 1.0) or f <= 0 or g.values[i - 1] <= 0 or g.values[i + 1] <= 0:
         raise ValueError("log derivative needs F in (0, 1) and f > 0 at the node")
     dlnf = (math.log(g.values[i + 1]) - math.log(g.values[i - 1])) / (2.0 * g.step)
-    cot = math.cos(math.pi * F) / math.sin(math.pi * F)
-    if kind == TransformKind.TYPE1:
-        return math.pi * cot * f + math.log(F / (1.0 - F)) * f + dlnf
-    if kind == TransformKind.TYPE2:
-        return math.pi * cot * f - math.log(F / (1.0 - F)) * f + dlnf
-    return 2.0 * math.pi * cot * f + dlnf
+    return float(_chain_rule(kind, F, f, dlnf))
 
 
 @dataclass(frozen=True)
@@ -171,10 +167,11 @@ class IterationTrace:
 
 
 def _diagnose(g: GridDensity, integral_error: float) -> StepDiagnostics:
+    mean, var = mean_and_variance(g)
     return StepDiagnostics(
-        variance=variance(g),
+        variance=var,
         median=median_of(g),
-        mean=moment(g, 1),
+        mean=mean,
         integral_error=integral_error,
     )
 
@@ -195,16 +192,10 @@ def iterate(kind: TransformKind, g: GridDensity, n: int) -> IterationTrace:
 
 
 def trace_csv(trace: IterationTrace) -> str:
-    """Long-format rows `step,x,f,F` across all steps."""
-    lines = ["step,x,f,F"]
-    for k, (g, c) in enumerate(trace.steps):
-        xs = g.xs
-        for i in range(g.n):
-            lines.append(
-                f"{k},{format_value(float(xs[i]))},"
-                f"{format_value(float(g.values[i]))},{format_value(float(c.cumvals[i]))}"
-            )
-    return "\n".join(lines) + "\n"
+    """Long-format rows `step,x,f,F` across all steps, formatted one step at a time."""
+    return "step,x,f,F\n" + "".join(
+        csv_rows([str(k)] * g.n, g.xs, g.values, c.cumvals) for k, (g, c) in enumerate(trace.steps)
+    )
 
 
 def trace_diagnostics_json(trace: IterationTrace) -> str:

@@ -44,16 +44,8 @@ def test_bad_params_rejected(capsys):
     assert run("transform", "--params", "a=x") == 2
     assert run("transform", "--dist", "uniform", "--params", "a=2,b=1") == 2
     capsys.readouterr()
-
-
-def test_thread_cap_env_validated(monkeypatch, capsys):
-    monkeypatch.setenv("DLAB_THREADS", "zero")
-    assert run("verify", "--suite", "constants") == 2
-    monkeypatch.setenv("DLAB_THREADS", "0")
-    assert run("verify", "--suite", "constants") == 2
-    monkeypatch.setenv("DLAB_THREADS", "2")
-    assert run("verify", "--suite", "constants") == 0
-    capsys.readouterr()
+    assert run("transform", "--dist", "normal", "--params", "stddev=inf") == 2
+    assert "'stddev'" in capsys.readouterr().err
 
 
 def test_io_failure_maps_to_exit_3(tmp_path, capsys):

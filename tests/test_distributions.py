@@ -35,6 +35,10 @@ def test_family_roster():
         ("semicircle", {"radius": -1.0}),
         ("uniform", {"scale": 3.0}),
         ("normal", {"nope": 1.0}),
+        ("normal", {"stddev": math.inf}),
+        ("normal", {"mean": math.nan}),
+        ("uniform", {"a": -math.inf}),
+        ("semicircle", {"center": math.nan}),
     ],
 )
 def test_invalid_params_rejected(family, params):

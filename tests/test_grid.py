@@ -9,11 +9,14 @@ from derangetropy import (
     DistributionSpec,
     GridCdf,
     GridDensity,
+    TransformKind,
     cdf_of,
     cumulative_simpson,
     density_csv,
+    diagnostics_csv,
     format_value,
     from_analytic,
+    gaussian_convergence,
     integrate,
     median,
     median_of,
@@ -21,6 +24,7 @@ from derangetropy import (
     simpson,
     variance,
 )
+from derangetropy.grid import csv_rows
 from derangetropy.transforms import bernoulli_entropy
 
 import oracles
@@ -284,3 +288,21 @@ def test_density_csv_shape():
     assert lines[0] == "x,f,F"
     cols = lines[1].split(",")
     assert float(cols[0]) == 0.0 and float(cols[2]) == 0.0
+
+
+def test_csv_rows_matches_row_by_row_format():
+    steps = np.arange(6)
+    names = ["a", "b", "c", "d", "e", "f"]
+    x = np.array([-0.0, math.inf, math.nan, 5e-324, 1e300, 0.1])
+    y = -x[::-1]
+    rows = zip(steps.tolist(), names, x.tolist(), y.tolist())
+    expected = "".join(f"{k:.17g},{name},{u:.17g},{v:.17g}\n" for k, name, u, v in rows)
+    assert csv_rows(steps, names, x, y) == expected
+    assert expected.startswith("0,a,-0,-0.10000000000000001\n1,b,inf,-1.0000000000000001e+300\n"
+                               "2,c,nan,-4.9406564584124654e-324\n")
+
+    # a point mass has sd = 0, so its sup distance is reported as inf
+    point = np.zeros(129)
+    point[64] = 1.0
+    d = gaussian_convergence(TransformKind.TYPE3, GridDensity(-1.0, 1.0, point), 0)
+    assert diagnostics_csv(d).split("\n")[1].split(",")[3] == "inf"
