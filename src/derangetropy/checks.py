@@ -1,0 +1,139 @@
+"""The check registry: every closed-form claim the package verifies.
+
+Each suite builder evaluates one group of claims on the package's own grids
+and returns `Check` rows. `dlab verify` reports them and the acceptance tests
+read them, so both see the same numbers against the same gates. `SUITES`
+maps suite names to builders in the order `run("all")` reports them.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from . import residuals as res
+from . import spectral
+from .distributions import FAMILIES, DistributionSpec, median
+from .grid import GridDensity, cdf_of, from_analytic, simpson
+from .transforms import TransformKind, bernoulli_entropy, transform, transform_values
+
+# Gate on a transform's pre-renormalization mass defect |integral - 1|: the
+# `raw_integral` tolerance, and the point past which `dlab iterate` reports
+# that its grid no longer resolves the iterate.
+MASS_TOLERANCE = 1e-4
+
+
+@dataclass(frozen=True)
+class Check:
+    name: str
+    expected: float
+    observed: float
+    tolerance: float
+
+    @property
+    def passed(self) -> bool:
+        return abs(self.observed - self.expected) <= self.tolerance
+
+
+def _reference_grids() -> dict[str, GridDensity]:
+    """The five default families at the production node count, by family."""
+    return {name: from_analytic(DistributionSpec(name), 4097) for name in FAMILIES}
+
+
+def _checks_constants() -> list[Check]:
+    n = 65537
+    z = np.linspace(0.0, 1.0, n)
+    entropy = bernoulli_entropy(z)
+    sin = np.sin(math.pi * z)
+    return [
+        Check("type1_normalizer", math.pi * math.e / 24.0, simpson(sin * np.exp(-entropy), 0.0, 1.0), 1e-8),
+        Check("type2_normalizer", math.pi / math.e, simpson(sin * np.exp(entropy), 0.0, 1.0), 1e-8),
+    ]
+
+
+def _checks_normalization() -> list[Check]:
+    out = []
+    for family, g in _reference_grids().items():
+        for kind in TransformKind:
+            mass = simpson(transform_values(kind, g), g.lo, g.hi)
+            out.append(Check(f"{family}/{kind.value}/raw_integral", 1.0, mass, MASS_TOLERANCE))
+    return out
+
+
+def _checks_ode() -> list[Check]:
+    out = []
+    for report in (res.residual_type1(), res.residual_type2(), res.residual_type3()):
+        out.append(Check(f"{report.kind.value}/max_abs_residual", 0.0, report.max_abs_residual, 1e-8))
+        for ic in report.ic_checks:
+            # relative tolerance against the expected limit; absolute at zero
+            tol = 1e-4 * max(abs(ic.expected), 1.0)
+            out.append(Check(f"{report.kind.value}/{ic.name}", ic.expected, ic.observed, tol))
+    return out
+
+
+def _checks_cf() -> list[Check]:
+    out = []
+    tmax = 20.0
+    grids = _reference_grids()
+    for family, g in grids.items():
+        gap = spectral.type3_cf_identity_gap(g, tmax=tmax)
+        tol = 1e-4 if family == "arcsine" else 1e-5
+        out.append(Check(f"{family}/cf_identity_gap", 0.0, gap, tol))
+        for sign, label in ((1, "plus"), (-1, "minus")):
+            phi = spectral.modulated_char(g, sign, tmax=1.0)
+            out.append(Check(f"{family}/modulated_{label}_at_zero", 0.0, abs(phi.at_zero()), 1e-6))
+    uni = grids["uniform"]
+    nu = transform_values(TransformKind.TYPE3, uni)
+    phi_nu = spectral.cf_of_values(uni, nu, spectral.DEFAULT_TSTEP, tmax)
+    closed = spectral.uniform_closed_form_cf(phi_nu.ts)
+    out.append(Check("uniform/closed_form_match", 0.0, float(np.max(np.abs(phi_nu.values - closed))), 1e-6))
+    phi0 = spectral.char_function(uni)
+    one = spectral.t_operator(phi0)
+    raw_cf = spectral.cf_of_values(uni, nu, spectral.DEFAULT_TSTEP, one.tmax)
+    out.append(Check("uniform/t_operator_vs_raw_cf", 0.0, float(np.max(np.abs(one.values - raw_cf.values))), 1e-6))
+    two = spectral.t_operator(one)
+    out.append(Check("uniform/t_operator_twice_at_zero", 1.5, two.at_zero().real, 1e-9))
+    return out
+
+
+def _checks_median() -> list[Check]:
+    out = []
+    for family, g in _reference_grids().items():
+        m = median(DistributionSpec(family))
+        cdfs = {kind: cdf_of(transform(kind, g)) for kind in TransformKind}
+        for kind, c in cdfs.items():
+            out.append(Check(f"{family}/{kind.value}/cdf_at_median", 0.5, c.at(m), 1e-4))
+        F = cdf_of(g).cumvals
+        closed = F - np.sin(math.tau * F) / math.tau
+        gap = float(np.max(np.abs(cdfs[TransformKind.TYPE3].cumvals - closed)))
+        out.append(Check(f"{family}/type3_closed_cdf_gap", 0.0, gap, 1e-6))
+    return out
+
+
+def _checks_convergence() -> list[Check]:
+    out = []
+    for family, g in _reference_grids().items():
+        d = spectral.gaussian_convergence(TransformKind.TYPE3, g, 30)
+        out.append(Check(f"{family}/sup_distance_at_30", 0.0, float(d.sup_distance[-1]), 0.05))
+        if family == "uniform":
+            expected = 1.0 / 12.0 - 1.0 / (2.0 * math.pi**2)
+            out.append(Check("uniform/step1_variance", expected, float(d.variance[1]), 1e-5))
+    return out
+
+
+SUITES = {
+    "constants": _checks_constants,
+    "normalization": _checks_normalization,
+    "ode": _checks_ode,
+    "cf": _checks_cf,
+    "median": _checks_median,
+    "convergence": _checks_convergence,
+}
+
+
+def run(suite: str) -> list[Check]:
+    """The checks of one suite, or of every suite in order for "all"."""
+    names = list(SUITES) if suite == "all" else [suite]
+    return [check for name in names for check in SUITES[name]()]

@@ -3,7 +3,9 @@
 Subcommands: transform, iterate, verify, spectral, figures. All outputs are
 deterministic data files (CSV with 17-significant-digit values, or JSON), so
 identical flags produce byte-identical bytes. Exit codes: 0 success, 1 a
-verification check failed, 2 usage error, 3 I/O error.
+verification check failed (or an `iterate` step's mass defect passed the
+registry's gate, after both files are written), 2 usage error, 3 I/O error.
+The checks themselves live in `derangetropy.checks`; `verify` formats them.
 """
 
 from __future__ import annotations
@@ -13,21 +15,19 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict
 
 import numpy as np
 
-from . import residuals as res
-from . import spectral
-from .distributions import FAMILIES, DistributionSpec, median
-from .grid import GridDensity, cdf_of, csv_rows, from_analytic, simpson
+from . import checks, spectral
+from .distributions import FAMILIES, DistributionSpec
+from .grid import GridDensity, cdf_of, csv_rows, from_analytic
 from .transforms import (
     TransformKind,
     iterate,
     trace_csv,
     trace_diagnostics_json,
     transform,
-    transform_values,
 )
 
 EXIT_OK = 0
@@ -36,7 +36,6 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 
 _KINDS = {k.value: k for k in TransformKind}
-_SUITES = ("normalization", "constants", "ode", "cf", "median", "convergence", "all")
 
 
 class UsageError(Exception):
@@ -82,10 +81,6 @@ def _write_text(path: str | None, text: str) -> None:
         fh.write(text)
 
 
-def _reference_specs() -> list[DistributionSpec]:
-    return [DistributionSpec(name) for name in FAMILIES]
-
-
 def cmd_transform(args: argparse.Namespace) -> int:
     spec = _build_spec(args)
     g = _build_grid(spec, args.grid)
@@ -107,148 +102,29 @@ def cmd_iterate(args: argparse.Namespace) -> int:
     _write_text(args.out, trace_csv(trace))
     root, _ = os.path.splitext(args.out)
     _write_text(root + ".diagnostics.json", trace_diagnostics_json(trace))
+    for k, d in enumerate(trace.diagnostics):
+        if not d.integral_error <= checks.MASS_TOLERANCE:
+            print(f"error: step {k} integralError {d.integral_error:.3g} exceeds {checks.MASS_TOLERANCE:g};"
+                  f" the {args.grid}-node grid no longer resolves the iterate", file=sys.stderr)
+            return EXIT_VERIFY_FAILED
     return EXIT_OK
 
 
-@dataclass(frozen=True)
-class Check:
-    name: str
-    expected: float
-    observed: float
-    tolerance: float
-
-    @property
-    def passed(self) -> bool:
-        return abs(self.observed - self.expected) <= self.tolerance
-
-
-def _checks_constants() -> list[Check]:
-    from .transforms import bernoulli_entropy
-
-    n = 65537
-    z = np.linspace(0.0, 1.0, n)
-    entropy = bernoulli_entropy(z)
-    sin = np.sin(math.pi * z)
-    return [
-        Check("type1_normalizer", math.pi * math.e / 24.0, simpson(sin * np.exp(-entropy), 0.0, 1.0), 1e-8),
-        Check("type2_normalizer", math.pi / math.e, simpson(sin * np.exp(entropy), 0.0, 1.0), 1e-8),
-    ]
-
-
-def _checks_normalization() -> list[Check]:
-    out = []
-    for spec in _reference_specs():
-        g = from_analytic(spec, 4097)
-        for kind in TransformKind:
-            mass = simpson(transform_values(kind, g), g.lo, g.hi)
-            out.append(Check(f"{spec.family}/{kind.value}/raw_integral", 1.0, mass, 1e-4))
-    return out
-
-
-def _checks_ode() -> list[Check]:
-    out = []
-    for report in (res.residual_type1(), res.residual_type2(), res.residual_type3()):
-        out.append(Check(f"{report.kind.value}/max_abs_residual", 0.0, report.max_abs_residual, 1e-8))
-        for ic in report.ic_checks:
-            # relative tolerance against the expected limit; absolute at zero
-            tol = 1e-4 * max(abs(ic.expected), 1.0)
-            out.append(Check(f"{report.kind.value}/{ic.name}", ic.expected, ic.observed, tol))
-    return out
-
-
-def _checks_cf() -> list[Check]:
-    out = []
-    tmax = 20.0
-    for spec in _reference_specs():
-        g = from_analytic(spec, 4097)
-        gap = spectral.type3_cf_identity_gap(g, tmax=tmax)
-        tol = 1e-4 if spec.family == "arcsine" else 1e-5
-        out.append(Check(f"{spec.family}/cf_identity_gap", 0.0, gap, tol))
-        for sign, label in ((1, "plus"), (-1, "minus")):
-            phi = spectral.modulated_char(g, sign, tmax=1.0)
-            out.append(Check(f"{spec.family}/modulated_{label}_at_zero", 0.0, abs(phi.at_zero()), 1e-6))
-    uni = from_analytic(DistributionSpec("uniform"), 4097)
-    nu = transform_values(TransformKind.TYPE3, uni)
-    phi_nu = spectral.cf_of_values(uni, nu, spectral.DEFAULT_TSTEP, tmax)
-    closed = spectral.uniform_closed_form_cf(phi_nu.ts)
-    out.append(Check("uniform/closed_form_match", 0.0, float(np.max(np.abs(phi_nu.values - closed))), 1e-6))
-    phi0 = spectral.char_function(uni)
-    one = spectral.t_operator(phi0)
-    raw_cf = spectral.cf_of_values(uni, nu, spectral.DEFAULT_TSTEP, one.tmax)
-    out.append(Check("uniform/t_operator_vs_raw_cf", 0.0, float(np.max(np.abs(one.values - raw_cf.values))), 1e-6))
-    two = spectral.t_operator(one)
-    out.append(Check("uniform/t_operator_twice_at_zero", 1.5, two.at_zero().real, 1e-9))
-    return out
-
-
-def _checks_median() -> list[Check]:
-    out = []
-    for spec in _reference_specs():
-        g = from_analytic(spec, 4097)
-        m = median(spec)
-        F = cdf_of(g)
-        for kind in TransformKind:
-            t = transform(kind, g)
-            out.append(Check(f"{spec.family}/{kind.value}/cdf_at_median", 0.5, cdf_of(t).at(m), 1e-4))
-        t3 = cdf_of(transform(TransformKind.TYPE3, g))
-        closed = F.cumvals - np.sin(math.tau * F.cumvals) / math.tau
-        gap = float(np.max(np.abs(t3.cumvals - closed)))
-        out.append(Check(f"{spec.family}/type3_closed_cdf_gap", 0.0, gap, 1e-6))
-    return out
-
-
-def _checks_convergence() -> list[Check]:
-    out = []
-    for spec in _reference_specs():
-        g = from_analytic(spec, 4097)
-        d = spectral.gaussian_convergence(TransformKind.TYPE3, g, 30)
-        out.append(Check(f"{spec.family}/sup_distance_at_30", 0.0, float(d.sup_distance[-1]), 0.05))
-        if spec.family == "uniform":
-            expected = 1.0 / 12.0 - 1.0 / (2.0 * math.pi**2)
-            out.append(Check("uniform/step1_variance", expected, float(d.variance[1]), 1e-5))
-    return out
-
-
-_SUITE_BUILDERS = {
-    "constants": _checks_constants,
-    "normalization": _checks_normalization,
-    "ode": _checks_ode,
-    "cf": _checks_cf,
-    "median": _checks_median,
-    "convergence": _checks_convergence,
-}
-
-
 def cmd_verify(args: argparse.Namespace) -> int:
-    names = list(_SUITE_BUILDERS) if args.suite == "all" else [args.suite]
-    checks: list[Check] = []
-    for name in names:
-        checks.extend(_SUITE_BUILDERS[name]())
-    passed = all(c.passed for c in checks)
+    results = checks.run(args.suite)
+    passed = all(c.passed for c in results)
     if args.format == "csv":
         table = csv_rows(
-            [c.name for c in checks],
-            np.array([c.expected for c in checks]),
-            np.array([c.observed for c in checks]),
-            np.array([c.tolerance for c in checks]),
-            [str(c.passed).lower() for c in checks],
+            [c.name for c in results],
+            np.array([c.expected for c in results]),
+            np.array([c.observed for c in results]),
+            np.array([c.tolerance for c in results]),
+            [str(c.passed).lower() for c in results],
         )
         _write_text(args.out, "name,expected,observed,tolerance,passed\n" + table)
     else:
-        report = {
-            "suite": args.suite,
-            "passed": passed,
-            "checks": [
-                {
-                    "name": c.name,
-                    "expected": c.expected,
-                    "observed": c.observed,
-                    "tolerance": c.tolerance,
-                    "passed": c.passed,
-                }
-                for c in checks
-            ],
-        }
+        rows = [{**asdict(c), "passed": c.passed} for c in results]
+        report = {"suite": args.suite, "passed": passed, "checks": rows}
         _write_text(args.out, json.dumps(report, indent=2) + "\n")
     return EXIT_OK if passed else EXIT_VERIFY_FAILED
 
@@ -281,7 +157,7 @@ def cmd_spectral(args: argparse.Namespace) -> int:
 def cmd_figures(args: argparse.Namespace) -> int:
     outdir = args.outdir if args.outdir is not None else args.which
     os.makedirs(outdir, exist_ok=True)
-    for spec in _reference_specs():
+    for spec in map(DistributionSpec, FAMILIES):
         g = _build_grid(spec, args.grid)
         if args.which == "fig1":
             header = "x,f,rho,tau\n"
@@ -321,7 +197,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_iterate)
 
     p = sub.add_parser("verify", help="run a verification suite and write a JSON report")
-    p.add_argument("--suite", default="all", choices=_SUITES)
+    p.add_argument("--suite", default="all", choices=[*checks.SUITES, "all"])
     p.add_argument("--format", default="json", choices=("csv", "json"))
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_verify)

@@ -67,11 +67,17 @@ class DistributionSpec:
             raise ValueError(f"exponential requires rate > 0, got {merged['rate']}")
         if self.family == "semicircle" and not merged["radius"] > 0:
             raise ValueError(f"semicircle requires radius > 0, got {merged['radius']}")
+        if self.family == "semicircle":
+            # the pdf's normalizer 2/(pi r^2) must be a finite positive float
+            area = math.pi * merged["radius"] * merged["radius"]
+            if not (area > 0 and 0 < 2.0 / area < math.inf):
+                raise ValueError(f"semicircle parameter 'radius' = {merged['radius']} is out of range:"
+                                 " 2/(pi radius^2) is not a finite positive float")
 
 
-def pdf(spec: DistributionSpec, x, cap: float = SINGULAR_PDF_CAP):
-    """Density f(x). Total on the real line: 0 outside the support, and the
-    finite cap at points where the analytic density diverges."""
+def pdf(spec: DistributionSpec, x):
+    """Density f(x). Total on the real line: 0 outside the support, and
+    SINGULAR_PDF_CAP at points where the analytic density diverges."""
     x = np.asarray(x, dtype=float)
     p = spec.params
     if spec.family == "uniform":
@@ -96,7 +102,7 @@ def pdf(spec: DistributionSpec, x, cap: float = SINGULAR_PDF_CAP):
         with np.errstate(divide="ignore", invalid="ignore"):
             raw = 1.0 / (math.pi * np.sqrt(np.clip(z * (1.0 - z), 0.0, None)) * (b - a))
         out = np.where(inside, raw, 0.0)
-        out = np.where((z == 0) | (z == 1), cap, out)
+        out = np.where((z == 0) | (z == 1), SINGULAR_PDF_CAP, out)
     return out if out.ndim else float(out)
 
 

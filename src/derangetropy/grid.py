@@ -129,6 +129,7 @@ def from_analytic(spec: DistributionSpec, n: int) -> GridDensity:
 
     Nodes include the endpoints of the effective support except for families
     with a divergent endpoint density, where they are inset by half a step.
+    Raises ValueError when the nodes are not strictly increasing in floating point.
     """
     _check_node_count(n)
     a, b = effective_support(spec)
@@ -138,6 +139,9 @@ def from_analytic(spec: DistributionSpec, n: int) -> GridDensity:
     else:
         lo, hi = a, b
     x = np.linspace(lo, hi, n)
+    if not np.all(np.diff(x) > 0):
+        raise ValueError(f"{spec.family} parameters {spec.params} do not give {n} strictly"
+                         f" increasing float nodes in [{lo!r}, {hi!r}]")
     f = pdf(spec, x)
     mass = simpson(f, lo, hi)
     return GridDensity(lo, hi, f / mass)

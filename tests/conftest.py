@@ -1,6 +1,6 @@
 import pytest
 
-from derangetropy import FAMILIES, DistributionSpec, from_analytic
+from derangetropy import FAMILIES, DistributionSpec, checks, from_analytic
 
 ACCEPTANCE_LINES: list[str] = []
 
@@ -21,3 +21,10 @@ def ref_specs():
 def ref_grids(ref_specs):
     # default production size; shared because construction is pure
     return {name: from_analytic(spec, 4097) for name, spec in ref_specs.items()}
+
+
+@pytest.fixture(scope="session")
+def registry():
+    # every suite but convergence, once; criterion 9 needs the whole
+    # sup-distance sequence, which the registry does not keep
+    return [c for suite in ("constants", "normalization", "ode", "cf", "median") for c in checks.run(suite)]

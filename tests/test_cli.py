@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -46,6 +47,13 @@ def test_bad_params_rejected(capsys):
     capsys.readouterr()
     assert run("transform", "--dist", "normal", "--params", "stddev=inf") == 2
     assert "'stddev'" in capsys.readouterr().err
+    # r^2 underflows to 0 in the semicircle's 2/(pi r^2)
+    assert run("transform", "--dist", "semicircle", "--params", "radius=1e-170") == 2
+    assert "'radius'" in capsys.readouterr().err
+    # 129 nodes between two adjacent floats would collapse onto two x values
+    assert run("transform", "--dist", "uniform", "--params", "a=1e17,b=1.0000000000000002e17",
+               "--grid", "129") == 2
+    assert "'a'" in capsys.readouterr().err
 
 
 def test_io_failure_maps_to_exit_3(tmp_path, capsys):
@@ -122,6 +130,17 @@ def test_iterate_writes_trace_and_sidecar(tmp_path):
     assert abs(step2[peak, 1] - 0.5) <= (step2[1, 1] - step2[0, 1]) * (1 + 1e-12)
     assert np.all(np.diff(f2[: peak + 1]) >= -1e-12)
     assert np.all(np.diff(f2[peak:]) <= 1e-12)
+
+
+def test_iterate_past_resolution_exits_1_after_writing(tmp_path, capsys):
+    # uniform/type3 at 4097 nodes: integralError first passes the registry's
+    # 1e-4 mass gate at step 10 (3.4e-4) and reaches 0.94 by step 14
+    out = tmp_path / "t.csv"
+    assert run("iterate", "--out", str(out)) == 1
+    assert "step 10 " in capsys.readouterr().err
+    assert out.exists() and (tmp_path / "t.diagnostics.json").exists()
+    assert run("iterate", "--n", "9", "--out", str(out)) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_iterate_exponential_median_stays_near_ln2(tmp_path):
@@ -243,7 +262,10 @@ def test_figures_default_outdir_named_after_panel(tmp_path, monkeypatch):
 
 
 def test_console_script_runs():
+    # the child sees this process's sys.path, so a checkout that is not
+    # installed finds the package through pytest's `pythonpath` setting
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     proc = subprocess.run([sys.executable, "-m", "derangetropy.cli", "--help"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "dlab" in proc.stdout
