@@ -23,11 +23,8 @@ from .distributions import (
     pdf,
 )
 from .grid import (
-    GridCdf,
     GridDensity,
-    cdf_of,
     cumulative_simpson,
-    density_csv,
     format_value,
     from_analytic,
     integrate,
@@ -87,11 +84,8 @@ __all__ = [
     "has_singular_endpoint",
     "median",
     "pdf",
-    "GridCdf",
     "GridDensity",
-    "cdf_of",
     "cumulative_simpson",
-    "density_csv",
     "format_value",
     "from_analytic",
     "integrate",

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import checks, spectral
 from .distributions import FAMILIES, DistributionSpec
-from .grid import GridDensity, cdf_of, csv_rows, from_analytic
+from .grid import GridDensity, csv_rows, from_analytic
 from .transforms import (
     TransformKind,
     iterate,
@@ -86,7 +86,7 @@ def cmd_transform(args: argparse.Namespace) -> int:
     g = _build_grid(spec, args.grid)
     kind = _KINDS[args.kind]
     out = transform(kind, g)
-    table = csv_rows(g.xs, g.values, cdf_of(g).cumvals, out.values)
+    table = csv_rows(g.xs, g.values, g.cdf, out.values)
     _write_text(args.out, "x,f,F,transformed\n" + table)
     return EXIT_OK
 
@@ -149,7 +149,7 @@ def cmd_spectral(args: argparse.Namespace) -> int:
         current = spectral.t_operator(current)
         _write_text(os.path.join(outdir, f"cf_shift_step{step}_raw.csv"), spectral.cf_csv(current))
         scale = current.at_zero()
-        renorm = spectral.CharFunction(current.tstep, current.tmax, current.values / scale)
+        renorm = spectral.CharFunction(current.tstep, current.values / scale)
         _write_text(os.path.join(outdir, f"cf_shift_step{step}_renormalized.csv"), spectral.cf_csv(renorm))
     return EXIT_OK
 

@@ -36,6 +36,17 @@ _DEFAULT_PARAMS: dict[str, dict[str, float]] = {
 }
 
 
+# Each family's pdf is a constant factor times a bounded shape; the factor must
+# be a finite positive float, or every sampled value is 0 or inf.
+_NORMALIZERS = {
+    "uniform": (("a", "b"), "1/(b - a)", lambda p: 1.0 / (p["b"] - p["a"])),
+    "normal": (("stddev",), "1/(stddev sqrt(2 pi))", lambda p: 1.0 / (p["stddev"] * math.sqrt(2.0 * math.pi))),
+    "exponential": (("rate",), "rate", lambda p: p["rate"]),
+    "semicircle": (("radius",), "2/(pi radius^2)", lambda p: 2.0 / (math.pi * p["radius"] * p["radius"])),
+    "arcsine": (("a", "b"), "1/(b - a)", lambda p: 1.0 / (p["b"] - p["a"])),
+}
+
+
 @dataclass(frozen=True)
 class DistributionSpec:
     """A named family with validated parameters.
@@ -67,12 +78,13 @@ class DistributionSpec:
             raise ValueError(f"exponential requires rate > 0, got {merged['rate']}")
         if self.family == "semicircle" and not merged["radius"] > 0:
             raise ValueError(f"semicircle requires radius > 0, got {merged['radius']}")
-        if self.family == "semicircle":
-            # the pdf's normalizer 2/(pi r^2) must be a finite positive float
-            area = math.pi * merged["radius"] * merged["radius"]
-            if not (area > 0 and 0 < 2.0 / area < math.inf):
-                raise ValueError(f"semicircle parameter 'radius' = {merged['radius']} is out of range:"
-                                 " 2/(pi radius^2) is not a finite positive float")
+        names, formula, normalizer = _NORMALIZERS[self.family]
+        with np.errstate(all="ignore"):
+            value = float(normalizer({k: np.float64(v) for k, v in merged.items()}))
+        if not 0 < value < math.inf:
+            listed = ", ".join(f"{k!r} = {merged[k]}" for k in names)
+            raise ValueError(f"{self.family} parameters {listed} are out of range: the pdf's normalizer"
+                             f" {formula} = {value} is not a finite positive float")
 
 
 def pdf(spec: DistributionSpec, x):
@@ -155,6 +167,6 @@ def effective_support(spec: DistributionSpec) -> tuple[float, float]:
 
 def has_singular_endpoint(spec: DistributionSpec) -> bool:
     """True when the density diverges at an endpoint of its support, in which
-    case grids must keep their nodes strictly inside."""
-    lo, hi = effective_support(spec)
-    return bool(np.any(pdf(spec, np.array([lo, hi])) >= SINGULAR_PDF_CAP))
+    case grids must keep their nodes strictly inside. Only the arcsine has a
+    pole; deciding by family keeps the layout the same at every scale."""
+    return spec.family == "arcsine"

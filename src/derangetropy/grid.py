@@ -3,8 +3,8 @@
 A density lives on n uniformly spaced nodes (n odd) spanning [lo, hi], and all
 integration is composite Simpson on that grid. The cumulative rule integrates
 the same local parabolas, so the running CDF agrees with the plain Simpson
-total at the last node. For families whose density diverges at a support
-endpoint, the node range is inset by half a step so every sampled value is
+total at the last node; a density computes its CDF once, on first access, as
+`g.cdf`. For families whose density diverges at a support endpoint, the node range is inset by half a step so every sampled value is
 finite; for everything else nodes include the endpoints, which keeps exact
 node placement at round x values (the transforms are checked pointwise there).
 """
@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -62,17 +63,6 @@ def cumulative_simpson(values: np.ndarray, step: float) -> np.ndarray:
     return out
 
 
-def _frozen_nodes(lo: float, hi: float, values) -> np.ndarray:
-    """Read-only float copy of node values, after the checks every grid shares."""
-    vals = np.asarray(values, dtype=float)
-    _check_node_count(vals.shape[0])
-    if not hi > lo:
-        raise ValueError(f"need hi > lo, got [{lo}, {hi}]")
-    vals = vals.copy()
-    vals.setflags(write=False)
-    return vals
-
-
 @dataclass(frozen=True)
 class GridDensity:
     """Nonnegative values sampled on n uniform nodes over [lo, hi]."""
@@ -82,9 +72,14 @@ class GridDensity:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        vals = _frozen_nodes(self.lo, self.hi, self.values)
+        vals = np.asarray(self.values, dtype=float)
+        _check_node_count(vals.shape[0])
+        if not self.hi > self.lo:
+            raise ValueError(f"need hi > lo, got [{self.lo}, {self.hi}]")
         if not np.all(np.isfinite(vals)) or np.any(vals < 0):
             raise ValueError("density values must be finite and nonnegative")
+        vals = vals.copy()
+        vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
     @property
@@ -99,29 +94,23 @@ class GridDensity:
     def xs(self) -> np.ndarray:
         return np.linspace(self.lo, self.hi, self.n)
 
+    @cached_property
+    def cdf(self) -> np.ndarray:
+        """Running CDF at the nodes, pinned to exactly 1 at the last; read-only.
 
-@dataclass(frozen=True)
-class GridCdf:
-    """Running CDF on the same grid as the density it came from."""
-
-    lo: float
-    hi: float
-    cumvals: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "cumvals", _frozen_nodes(self.lo, self.hi, self.cumvals))
-
-    @property
-    def n(self) -> int:
-        return self.cumvals.shape[0]
-
-    @property
-    def xs(self) -> np.ndarray:
-        return np.linspace(self.lo, self.hi, self.n)
-
-    def at(self, x: float) -> float:
-        """CDF value at x by linear interpolation between nodes."""
-        return float(np.interp(x, self.xs, self.cumvals))
+        The raw cumulative rule can dip on adversarial (non-smooth) inputs
+        because the half-panel parabola is not monotone in its data, so a
+        running maximum enforces the CDF monotonicity contract; it is a no-op
+        for smooth densities. Computed on first access and kept.
+        """
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the check below
+            raw = np.maximum.accumulate(cumulative_simpson(self.values, self.step))
+        total = float(raw[-1])
+        if not 0 < total < math.inf:
+            raise ValueError(f"cannot build a CDF from a density with cumulative mass {total}")
+        cdf = raw / total
+        cdf.setflags(write=False)
+        return cdf
 
 
 def from_analytic(spec: DistributionSpec, n: int) -> GridDensity:
@@ -129,7 +118,8 @@ def from_analytic(spec: DistributionSpec, n: int) -> GridDensity:
 
     Nodes include the endpoints of the effective support except for families
     with a divergent endpoint density, where they are inset by half a step.
-    Raises ValueError when the nodes are not strictly increasing in floating point.
+    Raises ValueError when the nodes are not strictly increasing in floating
+    point or the grid's CDF cannot be built.
     """
     _check_node_count(n)
     a, b = effective_support(spec)
@@ -144,26 +134,17 @@ def from_analytic(spec: DistributionSpec, n: int) -> GridDensity:
                          f" increasing float nodes in [{lo!r}, {hi!r}]")
     f = pdf(spec, x)
     mass = simpson(f, lo, hi)
-    return GridDensity(lo, hi, f / mass)
+    g = GridDensity(lo, hi, f / mass)
+    try:
+        g.cdf
+    except ValueError as exc:
+        # the pdf can be finite where the cumulative rule's panel sums overflow
+        raise ValueError(f"{spec.family} parameters {spec.params} are out of range: {exc}") from exc
+    return g
 
 
 def integrate(g: GridDensity) -> float:
     return simpson(g.values, g.lo, g.hi)
-
-
-def cdf_of(g: GridDensity) -> GridCdf:
-    """Accumulate the density and pin the final value to exactly 1.
-
-    The raw cumulative rule can dip on adversarial (non-smooth) inputs because
-    the half-panel parabola is not monotone in its data, so a running maximum
-    enforces the CDF monotonicity contract; it is a no-op for smooth densities.
-    """
-    raw = cumulative_simpson(g.values, g.step)
-    raw = np.maximum.accumulate(raw)
-    total = raw[-1]
-    if not total > 0:
-        raise ValueError("cannot build a CDF from a density with zero mass")
-    return GridCdf(g.lo, g.hi, raw / total)
 
 
 def moment(g: GridDensity, k: int) -> float:
@@ -195,27 +176,31 @@ def median_of(g: GridDensity) -> float:
     for t. That keeps the inversion error at O(h^3); plain linear
     interpolation of F is only O(h^2), which is visible in refinement checks.
     """
-    c = cdf_of(g)
-    i = int(np.searchsorted(c.cumvals, 0.5))
+    F, xs = g.cdf, g.xs
+    i = int(np.searchsorted(F, 0.5))
     if i == 0:
-        return float(c.xs[0])
-    x0, x1 = float(c.xs[i - 1]), float(c.xs[i])
-    y0, y1 = float(c.cumvals[i - 1]), float(c.cumvals[i])
+        return float(xs[0])
+    x0, x1 = float(xs[i - 1]), float(xs[i])
+    y0, y1 = float(F[i - 1]), float(F[i])
     if y1 == y0:
         return x0
     h = x1 - x0
-    f0, f1 = float(g.values[i - 1]), float(g.values[i])
-    a = 0.5 * (f1 - f0) / h
+    # solve for u = t/s with s a power of two near h: the rescaling is exact,
+    # so the root is unchanged, and f*s stays finite where f*f would overflow
+    s = math.ldexp(1.0, math.frexp(h)[1])
+    hs = h / s
+    f0, f1 = float(g.values[i - 1]) * s, float(g.values[i]) * s
+    a = 0.5 * (f1 - f0) / hs
     b = f0
     cc = y0 - 0.5
     disc = b * b - 4.0 * a * cc
-    if disc >= 0.0 and (abs(a) * h > 1e-14 * max(b, 1e-300)):
+    if disc >= 0.0 and (abs(a) * hs > 1e-14 * max(b, 1e-300 * s)):
         # stable quadratic formula; the root moving continuously from the
         # a -> 0 limit -c/b is the one built from -b - sign(b)*sqrt(disc)
         q = -0.5 * (b + math.copysign(math.sqrt(disc), b))
-        for t in ((cc / q) if q != 0.0 else math.inf, (q / a)):
-            if -1e-12 * h <= t <= h * (1.0 + 1e-12):
-                return x0 + min(max(t, 0.0), h)
+        for u in ((cc / q) if q != 0.0 else math.inf, (q / a)):
+            if -1e-12 * hs <= u <= hs * (1.0 + 1e-12):
+                return x0 + min(max(u, 0.0), hs) * s
     return x0 + (0.5 - y0) * h / (y1 - y0)
 
 
@@ -237,10 +222,3 @@ def csv_rows(*columns) -> str:
         for col in columns
     ]
     return "".join(line + "\n" for line in map(",".join, zip(*cells)))
-
-
-def density_csv(g: GridDensity, cdf: GridCdf | None = None) -> str:
-    """Rows of `x,f` (or `x,f,F` when a CDF is supplied), one per node."""
-    if cdf is None:
-        return "x,f\n" + csv_rows(g.xs, g.values)
-    return "x,f,F\n" + csv_rows(g.xs, g.values, cdf.cumvals)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .grid import GridDensity, cdf_of, csv_rows, mean_and_variance, median_of, simpson, simpson_weights
+from .grid import GridDensity, csv_rows, mean_and_variance, median_of, simpson, simpson_weights
 from .transforms import TransformKind, transform_step, transform_values
 
 DEFAULT_TSTEP = math.tau / 64.0
@@ -50,17 +50,17 @@ class CharFunction:
     """Complex samples at t = k*tstep for k in [-K, K]."""
 
     tstep: float
-    tmax: float
     values: np.ndarray
 
     def __post_init__(self) -> None:
+        if not self.tstep > 0:
+            raise ValueError(f"tstep must be positive, got {self.tstep}")
         shifts_per_turn = math.tau / self.tstep
         if abs(shifts_per_turn - round(shifts_per_turn)) > 1e-9:
             raise ValueError(f"2*pi/tstep must be an integer, got {shifts_per_turn}")
         vals = np.asarray(self.values, dtype=complex)
-        k = _half_count(self.tstep, self.tmax)
-        if vals.shape[0] != 2 * k + 1:
-            raise ValueError(f"expected {2 * k + 1} samples for tmax={self.tmax}, got {vals.shape[0]}")
+        if vals.shape[0] % 2 == 0:
+            raise ValueError(f"expected an odd number 2K+1 of samples, got {vals.shape[0]}")
         vals = vals.copy()
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
@@ -70,9 +70,12 @@ class CharFunction:
         return (self.values.shape[0] - 1) // 2
 
     @property
+    def tmax(self) -> float:
+        return self.half_count * self.tstep
+
+    @property
     def ts(self) -> np.ndarray:
-        k = self.half_count
-        return np.arange(-k, k + 1) * self.tstep
+        return _frequencies(self.half_count, self.tstep)
 
     def at_zero(self) -> complex:
         return complex(self.values[self.half_count])
@@ -82,6 +85,11 @@ def _half_count(tstep: float, tmax: float) -> int:
     if tstep <= 0 or tmax <= 0:
         raise ValueError("tstep and tmax must be positive")
     return int(math.floor(tmax / tstep + 1e-9))
+
+
+def _frequencies(k: int, tstep: float) -> np.ndarray:
+    """The symmetric frequency grid t = j*tstep for j in [-k, k]."""
+    return np.arange(-k, k + 1) * tstep
 
 
 def _cf_samples(xs: np.ndarray, weighted: np.ndarray, ts: np.ndarray) -> np.ndarray:
@@ -96,12 +104,11 @@ def _cf_samples(xs: np.ndarray, weighted: np.ndarray, ts: np.ndarray) -> np.ndar
 
 def cf_of_values(g: GridDensity, values: np.ndarray, tstep: float, tmax: float,
                   phase: np.ndarray | None = None) -> CharFunction:
-    k = _half_count(tstep, tmax)
-    ts = np.arange(-k, k + 1) * tstep
+    ts = _frequencies(_half_count(tstep, tmax), tstep)
     weighted = simpson_weights(g.n, g.step) * values
     if phase is not None:
         weighted = weighted * phase
-    return CharFunction(tstep, tmax, _cf_samples(g.xs, weighted, ts))
+    return CharFunction(tstep, _cf_samples(g.xs, weighted, ts))
 
 
 def char_function(g: GridDensity, tstep: float = DEFAULT_TSTEP, tmax: float = DEFAULT_TMAX) -> CharFunction:
@@ -114,8 +121,7 @@ def modulated_char(g: GridDensity, sign: int, tstep: float = DEFAULT_TSTEP,
     """CF with the extra phase exp(sign * i * 2*pi * F(x)) in the integrand."""
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
-    F = cdf_of(g).cumvals
-    phase = np.exp(1j * sign * math.tau * F)
+    phase = np.exp(1j * sign * math.tau * g.cdf)
     return cf_of_values(g, g.values, tstep, tmax, phase=phase)
 
 
@@ -167,11 +173,11 @@ def t_operator(phi: CharFunction) -> CharFunction:
     """
     d = int(round(math.tau / phi.tstep))
     k = phi.half_count
-    if k < d:
-        raise ValueError(f"tmax={phi.tmax} too small to shift by 2*pi (need at least {d * phi.tstep})")
+    if k <= d:
+        raise ValueError(f"tmax={phi.tmax} too small to shift by 2*pi (need more than {d * phi.tstep})")
     v = phi.values
     shifted = v[d:-d] - 0.5 * (v[2 * d :] + v[: -2 * d])
-    return CharFunction(phi.tstep, (k - d) * phi.tstep, shifted)
+    return CharFunction(phi.tstep, shifted)
 
 
 @dataclass(frozen=True)
@@ -211,8 +217,7 @@ def _regrid(g: GridDensity, mean: float, sd: float) -> GridDensity:
 
 def _rescaled_sup_distance(g: GridDensity, mean: float, sd: float,
                            tstep: float, tmax: float) -> float:
-    k = _half_count(tstep, tmax)
-    ts = np.arange(-k, k + 1) * tstep
+    ts = _frequencies(_half_count(tstep, tmax), tstep)
     weighted = simpson_weights(g.n, g.step) * g.values
     ys = (g.xs - mean) / sd
     phi = _cf_samples(ys, weighted, ts)

@@ -25,9 +25,7 @@ import numpy as np
 from scipy.special import xlogy
 
 from .grid import (
-    GridCdf,
     GridDensity,
-    cdf_of,
     csv_rows,
     integrate,
     mean_and_variance,
@@ -83,8 +81,7 @@ def kernel(kind: TransformKind, z):
 
 def transform_values(kind: TransformKind, g: GridDensity) -> np.ndarray:
     """Pointwise kernel(F(x)) * f(x) without renormalization."""
-    F = cdf_of(g).cumvals
-    return kernel(kind, F) * g.values
+    return kernel(kind, g.cdf) * g.values
 
 
 @dataclass(frozen=True)
@@ -128,7 +125,7 @@ def log_derivative_grid(kind: TransformKind, g: GridDensity) -> tuple[np.ndarray
     dropped rather than raising, so the profile stays usable near support
     endpoints.
     """
-    F = cdf_of(g).cumvals[1:-1]
+    F = g.cdf[1:-1]
     f = g.values[1:-1]
     keep = (F > 0) & (F < 1) & (f > 0) & (g.values[:-2] > 0) & (g.values[2:] > 0)
     logf = np.log(g.values, out=np.full(g.n, -np.inf), where=g.values > 0)
@@ -141,7 +138,7 @@ def log_derivative(kind: TransformKind, g: GridDensity, x: float) -> float:
     i = int(round((x - g.lo) / g.step))
     if i <= 0 or i >= g.n - 1:
         raise ValueError(f"x={x} is not interior to the grid")
-    F = float(cdf_of(g).cumvals[i])
+    F = float(g.cdf[i])
     f = float(g.values[i])
     if not (0.0 < F < 1.0) or f <= 0 or g.values[i - 1] <= 0 or g.values[i + 1] <= 0:
         raise ValueError("log derivative needs F in (0, 1) and f > 0 at the node")
@@ -162,7 +159,7 @@ class IterationTrace:
     """Step 0 is the input; step k is the renormalized transform of step k-1."""
 
     kind: TransformKind
-    steps: tuple[tuple[GridDensity, GridCdf], ...]
+    steps: tuple[GridDensity, ...]
     diagnostics: tuple[StepDiagnostics, ...]
 
 
@@ -180,13 +177,13 @@ def iterate(kind: TransformKind, g: GridDensity, n: int) -> IterationTrace:
     """Apply the transform n times, renormalizing at every step."""
     if n < 1:
         raise ValueError(f"iteration count must be >= 1, got {n}")
-    steps = [(g, cdf_of(g))]
+    steps = [g]
     diagnostics = [_diagnose(g, abs(integrate(g) - 1.0))]
     current = g
     for _ in range(n):
         step = transform_step(kind, current)
         current = step.density
-        steps.append((current, cdf_of(current)))
+        steps.append(current)
         diagnostics.append(_diagnose(current, step.integral_error))
     return IterationTrace(kind, tuple(steps), tuple(diagnostics))
 
@@ -194,7 +191,7 @@ def iterate(kind: TransformKind, g: GridDensity, n: int) -> IterationTrace:
 def trace_csv(trace: IterationTrace) -> str:
     """Long-format rows `step,x,f,F` across all steps, formatted one step at a time."""
     return "step,x,f,F\n" + "".join(
-        csv_rows([str(k)] * g.n, g.xs, g.values, c.cumvals) for k, (g, c) in enumerate(trace.steps)
+        csv_rows([str(k)] * g.n, g.xs, g.values, g.cdf) for k, g in enumerate(trace.steps)
     )
 
 

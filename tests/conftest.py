@@ -1,6 +1,6 @@
 import pytest
 
-from derangetropy import FAMILIES, DistributionSpec, checks, from_analytic
+from derangetropy import FAMILIES, DistributionSpec, char_function, checks, from_analytic
 
 ACCEPTANCE_LINES: list[str] = []
 
@@ -21,6 +21,12 @@ def ref_specs():
 def ref_grids(ref_specs):
     # default production size; shared because construction is pure
     return {name: from_analytic(spec, 4097) for name, spec in ref_specs.items()}
+
+
+@pytest.fixture(scope="session")
+def uniform_cf(ref_grids):
+    # the uniform CF on the default window, the costliest CF the tests share
+    return char_function(ref_grids["uniform"])
 
 
 @pytest.fixture(scope="session")

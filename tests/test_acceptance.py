@@ -19,8 +19,6 @@ import pytest
 from derangetropy import (
     DistributionSpec,
     TransformKind,
-    cdf_of,
-    char_function,
     from_analytic,
     gaussian_convergence,
     log_derivative_grid,
@@ -146,12 +144,12 @@ def test_criterion_05_uniform_closed_form_cf(registry):
     report(5, ok, f"closed-form CF gap {gap:.2e} (tol 1e-6); removable limits (1,-0.5,-0.5) exact: {limits_ok}")
 
 
-def test_criterion_06_shift_operator_consistency(registry, ref_grids):
+def test_criterion_06_shift_operator_consistency(registry, uniform_cf):
     gap = registry_gap(registry, 6, "uniform/t_operator_vs_raw_cf", 0.0, 1e-6)
     # the registry gates only the real part of phi_2(0); the literal below
     # takes the complex value
     registry_gap(registry, 6, "uniform/t_operator_twice_at_zero", 1.5, 1e-9)
-    two_at_zero = t_operator(t_operator(char_function(ref_grids["uniform"]))).at_zero()
+    two_at_zero = t_operator(t_operator(uniform_cf)).at_zero()
     literal = abs(two_at_zero - 1.5)
     ok = gap <= 1e-6 and literal <= 1e-9
     report(6, ok, f"one application vs transform CF: {gap:.2e} (tol 1e-6); phi_2(0) = 1.5 off by {literal:.1e}")
@@ -256,7 +254,7 @@ def test_criterion_11_derivative_formulas():
     worst = 0.0
     for family in FAMILIES:
         g = from_analytic(DistributionSpec(family), 65537)
-        F = cdf_of(g).cumvals
+        F = g.cdf
         for kind in KINDS:
             xs, got = log_derivative_grid(kind, g)
             out = transform(kind, g)

@@ -54,6 +54,16 @@ def test_bad_params_rejected(capsys):
     assert run("transform", "--dist", "uniform", "--params", "a=1e17,b=1.0000000000000002e17",
                "--grid", "129") == 2
     assert "'a'" in capsys.readouterr().err
+    # the pdf's normalizer overflows: 1/(stddev sqrt(2 pi)) and 1/(b - a)
+    assert run("transform", "--dist", "normal", "--params", "stddev=1e-320", "--grid", "129") == 2
+    assert "'stddev'" in capsys.readouterr().err
+    assert run("transform", "--dist", "uniform", "--params", "a=0,b=1e-310", "--grid", "129") == 2
+    assert "'b'" in capsys.readouterr().err
+    # the normalizer is finite but the cumulative rule's panel sums overflow
+    for dist, params, name in (("exponential", "rate=2e307", "'rate'"), ("normal", "stddev=1e-308", "'stddev'"),
+                               ("uniform", "a=0,b=1e-308", "'b'")):
+        assert run("transform", "--dist", dist, "--params", params, "--grid", "129") == 2
+        assert name in capsys.readouterr().err
 
 
 def test_io_failure_maps_to_exit_3(tmp_path, capsys):

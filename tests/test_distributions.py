@@ -39,6 +39,8 @@ def test_family_roster():
         ("normal", {"mean": math.nan}),
         ("uniform", {"a": -math.inf}),
         ("semicircle", {"center": math.nan}),
+        ("normal", {"stddev": 1e-320}),
+        ("uniform", {"a": 0.0, "b": 1e-310}),
     ],
 )
 def test_invalid_params_rejected(family, params):

@@ -7,12 +7,9 @@ from hypothesis import strategies as st
 
 from derangetropy import (
     DistributionSpec,
-    GridCdf,
     GridDensity,
     TransformKind,
-    cdf_of,
     cumulative_simpson,
-    density_csv,
     diagnostics_csv,
     format_value,
     from_analytic,
@@ -22,6 +19,7 @@ from derangetropy import (
     median_of,
     moment,
     simpson,
+    transform,
     variance,
 )
 from derangetropy.grid import csv_rows
@@ -115,14 +113,14 @@ def test_cumulative_simpson_endpoint_equals_total():
 
 def test_cdf_of_monotone_on_adversarial_density():
     # the half-panel rule can locally produce a decreasing cumulative value
-    # on rough data; cdf_of must still be nondecreasing
+    # on rough data; the grid CDF must still be nondecreasing
     vals = np.zeros(129)
     vals[2] = 1.0
     vals[-1] = 1.0
     g = GridDensity(0.0, 1.0, vals)
-    c = cdf_of(g)
-    assert np.all(np.diff(c.cumvals) >= 0.0)
-    assert c.cumvals[-1] == 1.0
+    c = g.cdf
+    assert np.all(np.diff(c) >= 0.0)
+    assert c[-1] == 1.0
 
 
 # --- grid types ------------------------------------------------------------
@@ -194,6 +192,32 @@ def test_arcsine_grid_inset_keeps_values_finite():
     assert integrate(g) == pytest.approx(1.0, abs=1e-13)
 
 
+# each family's scale parameter at 2**k; the exponential's rate is its inverse
+SCALE_PARAMS = {
+    "uniform": lambda s: {"a": 0.0, "b": s},
+    "normal": lambda s: {"stddev": s},
+    "exponential": lambda s: {"rate": 1.0 / s},
+    "semicircle": lambda s: {"radius": s},
+    "arcsine": lambda s: {"a": 0.0, "b": s},
+}
+
+
+@pytest.mark.parametrize("k", [-500, -40, 40])
+@pytest.mark.parametrize("family", FAMILIES)
+def test_grid_layer_is_scale_equivariant(family, k, ref_grids):
+    # scaling x by a power of two is exact in floating point, so the layout,
+    # the CDF, the three transforms and the median must scale exactly too
+    s = 2.0**k
+    unit = ref_grids[family]
+    g = from_analytic(DistributionSpec(family, SCALE_PARAMS[family](s)), unit.n)
+    assert np.array_equal(g.xs, unit.xs * s)
+    assert np.array_equal(g.values, unit.values / s)
+    assert np.array_equal(g.cdf, unit.cdf)
+    for kind in TransformKind:
+        assert np.array_equal(transform(kind, g).values, transform(kind, unit).values / s)
+    assert median_of(g) == median_of(unit) * s
+
+
 def test_grid_size_validation():
     with pytest.raises(ValueError):
         from_analytic(DistributionSpec("uniform"), 4096)
@@ -201,33 +225,25 @@ def test_grid_size_validation():
         from_analytic(DistributionSpec("uniform"), 65)
 
 
-# --- cdf_of / median / moments ----------------------------------------------
+# --- CDF / median / moments -------------------------------------------------
 
 
 def test_uniform_cdf_is_identity():
     g = from_analytic(DistributionSpec("uniform"), 517 * 2 - 1 + 64)  # odd, >= 129
-    c = cdf_of(g)
-    assert np.max(np.abs(c.cumvals - c.xs)) < 1e-13
-    assert c.cumvals[0] == 0.0 and c.cumvals[-1] == 1.0
+    c = g.cdf
+    assert np.max(np.abs(c - g.xs)) < 1e-13
+    assert c[0] == 0.0 and c[-1] == 1.0
 
 
 @pytest.mark.parametrize("family", FAMILIES)
 def test_grid_cdf_tracks_closed_form(family, ref_grids):
     g = ref_grids[family]
-    c = cdf_of(g)
-    want = oracles.CDFS[family](c.xs)
+    c = g.cdf
+    want = oracles.CDFS[family](g.xs)
     # arcsine: the inset grid misses O(sqrt h) of pole mass (7e-3 here);
     # semicircle: sqrt endpoint zeros hold cumulative Simpson at ~1e-6
     tol = {"arcsine": 1e-2, "semicircle": 5e-6}.get(family, 1e-9)
-    assert np.max(np.abs(c.cumvals - want)) < tol
-
-
-def test_grid_cdf_interpolation():
-    g = from_analytic(DistributionSpec("uniform"), 129)
-    c = cdf_of(g)
-    assert c.at(-1.0) == 0.0
-    assert c.at(2.0) == 1.0
-    assert c.at(0.25) == pytest.approx(0.25, abs=1e-13)
+    assert np.max(np.abs(c - want)) < tol
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -275,19 +291,6 @@ def test_statistics_invariant_under_refinement(family, stat):
 @settings(max_examples=200, deadline=None)
 def test_format_value_round_trips(v):
     assert float(format_value(v)) == v
-
-
-def test_density_csv_shape():
-    g = from_analytic(DistributionSpec("uniform"), 129)
-    txt = density_csv(g)
-    lines = txt.strip().split("\n")
-    assert lines[0] == "x,f"
-    assert len(lines) == 130
-    txt = density_csv(g, cdf_of(g))
-    lines = txt.strip().split("\n")
-    assert lines[0] == "x,f,F"
-    cols = lines[1].split(",")
-    assert float(cols[0]) == 0.0 and float(cols[2]) == 0.0
 
 
 def test_csv_rows_matches_row_by_row_format():

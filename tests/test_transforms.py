@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -10,9 +11,9 @@ from derangetropy import (
     TYPE1_CONSTANT,
     TYPE2_CONSTANT,
     DistributionSpec,
+    GridDensity,
     TransformKind,
     bernoulli_entropy,
-    cdf_of,
     from_analytic,
     integrate,
     iterate,
@@ -28,6 +29,8 @@ from derangetropy import (
     transform_step,
     transform_values,
 )
+
+from derangetropy import grid
 
 import oracles
 
@@ -145,14 +148,14 @@ def test_transform_normalized_and_raw_mass(family, kind, ref_grids):
 @pytest.mark.parametrize("kind", KINDS, ids=[k.value for k in KINDS])
 def test_median_preserved(family, kind, ref_specs, ref_grids):
     out = transform(kind, ref_grids[family])
-    assert cdf_of(out).at(median(ref_specs[family])) == pytest.approx(0.5, abs=1e-4)
+    assert np.interp(median(ref_specs[family]), out.xs, out.cdf) == pytest.approx(0.5, abs=1e-4)
 
 
 @pytest.mark.parametrize("family", FAMILIES)
 def test_type3_cdf_closed_form(family, ref_grids):
     g = ref_grids[family]
-    F = cdf_of(g).cumvals
-    got = cdf_of(transform(TransformKind.TYPE3, g)).cumvals
+    F = g.cdf
+    got = transform(TransformKind.TYPE3, g).cdf
     want = F - np.sin(2.0 * math.pi * F) / (2.0 * math.pi)
     assert np.max(np.abs(got - want)) <= 1e-6
 
@@ -176,7 +179,7 @@ def test_transform_zero_at_support_endpoints(family, kind, ref_grids):
 
 def test_transform_zero_exactly_where_kernel_or_density_vanishes(ref_grids):
     g = ref_grids["semicircle"]
-    F = cdf_of(g).cumvals
+    F = g.cdf
     for kind in KINDS:
         out = transform_values(kind, g)
         expect_zero = (kernel(kind, F) == 0.0) | (g.values == 0.0)
@@ -194,20 +197,43 @@ def test_iterate_validates_step_count(ref_grids):
 def test_iterate_step_zero_is_input(ref_grids):
     g = ref_grids["uniform"]
     tr = iterate(TransformKind.TYPE3, g, 2)
-    d0, c0 = tr.steps[0]
+    d0 = tr.steps[0]
     assert np.array_equal(d0.values, g.values)
-    assert c0.cumvals[-1] == 1.0
+    assert d0.cdf[-1] == 1.0
     assert len(tr.steps) == 3
     assert len(tr.diagnostics) == 3
+
+
+def test_iterate_builds_each_cdf_once(monkeypatch, ref_grids):
+    calls = []
+    cumulative = grid.cumulative_simpson
+
+    def counted(values, step):
+        calls.append(step)
+        return cumulative(values, step)
+
+    monkeypatch.setattr(grid, "cumulative_simpson", counted)
+    src = ref_grids["normal"]
+    for kind in KINDS:
+        for n in (1, 4):
+            g = GridDensity(src.lo, src.hi, src.values)  # a fresh grid has no CDF yet
+            calls.clear()
+            iterate(kind, g, n)
+            assert len(calls) == n + 1
+    assert g.cdf is g.cdf
+    with pytest.raises(ValueError):
+        g.cdf[0] = 0.5  # read-only view
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        g.cdf = np.zeros(g.n)
 
 
 def test_iterate_steps_chain(ref_grids):
     g = ref_grids["normal"]
     tr = iterate(TransformKind.TYPE1, g, 2)
-    manual = transform(TransformKind.TYPE1, tr.steps[0][0])
-    assert np.array_equal(tr.steps[1][0].values, manual.values)
+    manual = transform(TransformKind.TYPE1, tr.steps[0])
+    assert np.array_equal(tr.steps[1].values, manual.values)
     manual2 = transform(TransformKind.TYPE1, manual)
-    assert np.array_equal(tr.steps[2][0].values, manual2.values)
+    assert np.array_equal(tr.steps[2].values, manual2.values)
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -227,7 +253,7 @@ def test_type3_iteration_matches_scalar_conjugacy():
     g = from_analytic(DistributionSpec("uniform"), 4097)
     n = 3
     tr = iterate(TransformKind.TYPE3, g, n)
-    got_cdf = tr.steps[n][1].cumvals
+    got_cdf = tr.steps[n].cdf
     want_cdf = oracles.scalar_iterate(g.xs, n)
     assert np.max(np.abs(got_cdf - want_cdf)) < 1e-9
 
@@ -235,15 +261,15 @@ def test_type3_iteration_matches_scalar_conjugacy():
     from derangetropy import simpson
 
     raw /= simpson(raw, g.lo, g.hi)
-    assert np.max(np.abs(tr.steps[n][0].values - raw)) < 1e-8
+    assert np.max(np.abs(tr.steps[n].values - raw)) < 1e-8
 
 
 def test_type3_iteration_matches_scalar_conjugacy_nonuniform():
     g = from_analytic(DistributionSpec("normal"), 4097)
     tr = iterate(TransformKind.TYPE3, g, 2)
-    F = cdf_of(g).cumvals
+    F = g.cdf
     want = oracles.scalar_iterate(F, 2)
-    assert np.max(np.abs(tr.steps[2][1].cumvals - want)) < 1e-7
+    assert np.max(np.abs(tr.steps[2].cdf - want)) < 1e-7
 
 
 def test_type3_iteration_medians_pinned(ref_grids):
@@ -294,12 +320,12 @@ def test_log_derivative_matches_finite_differences(family, kind):
     n = 65537 if family == "exponential" else 8193
     g = from_analytic(DistributionSpec(family), n)
     xs, got = log_derivative_grid(kind, g)
-    F = cdf_of(g)
+    F = g.cdf
     out = transform(kind, g)
     logt = np.log(np.maximum(out.values, 1e-300))
     h = g.step
     fd = (logt[2:] - logt[:-2]) / (2.0 * h)
-    fvals = F.cumvals[1:-1]
+    fvals = F[1:-1]
     keep = (fvals >= 0.05) & (fvals <= 0.95)
     inner = dict(zip(np.round(g.xs[1:-1][keep], 12), fd[keep]))
     sel = [i for i, x in enumerate(np.round(xs, 12)) if x in inner]
