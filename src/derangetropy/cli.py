@@ -4,7 +4,8 @@ Subcommands: transform, iterate, verify, spectral, figures. All outputs are
 deterministic data files (CSV with 17-significant-digit values, or JSON), so
 identical flags produce byte-identical bytes. Exit codes: 0 success, 1 a
 verification check failed (or an `iterate` step's mass defect passed the
-registry's gate, after both files are written), 2 usage error, 3 I/O error.
+registry's gate, after both files are written), 2 usage error (or an `iterate`
+step that overflows, before any file is written), 3 I/O error.
 The checks themselves live in `derangetropy.checks`; `verify` formats them.
 """
 
@@ -98,7 +99,10 @@ def cmd_iterate(args: argparse.Namespace) -> int:
         raise UsageError("iterate requires --out (a diagnostics sidecar is written next to it)")
     spec = _build_spec(args)
     g = _build_grid(spec, args.grid)
-    trace = iterate(_KINDS[args.kind], g, args.n)
+    try:
+        trace = iterate(_KINDS[args.kind], g, args.n)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     _write_text(args.out, trace_csv(trace))
     root, _ = os.path.splitext(args.out)
     _write_text(root + ".diagnostics.json", trace_diagnostics_json(trace))

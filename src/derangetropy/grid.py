@@ -63,9 +63,13 @@ def cumulative_simpson(values: np.ndarray, step: float) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GridDensity:
-    """Nonnegative values sampled on n uniform nodes over [lo, hi]."""
+    """Nonnegative values sampled on n uniform nodes over [lo, hi].
+
+    Grids compare and hash by identity: equality of sampled arrays is a
+    numerical question that callers answer with their own tolerance.
+    """
 
     lo: float
     hi: float

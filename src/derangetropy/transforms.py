@@ -174,17 +174,24 @@ def _diagnose(g: GridDensity, integral_error: float) -> StepDiagnostics:
 
 
 def iterate(kind: TransformKind, g: GridDensity, n: int) -> IterationTrace:
-    """Apply the transform n times, renormalizing at every step."""
+    """Apply the transform n times, renormalizing at every step.
+
+    Raises ValueError naming the step when an iterate leaves the range of
+    floating point (its values or its CDF's cumulative sums overflow).
+    """
     if n < 1:
         raise ValueError(f"iteration count must be >= 1, got {n}")
     steps = [g]
     diagnostics = [_diagnose(g, abs(integrate(g) - 1.0))]
     current = g
-    for _ in range(n):
-        step = transform_step(kind, current)
-        current = step.density
+    for k in range(1, n + 1):
+        try:
+            step = transform_step(kind, current)
+            current = step.density
+            diagnostics.append(_diagnose(current, step.integral_error))
+        except ValueError as exc:
+            raise ValueError(f"step {k} of the {kind.value} iteration is out of range: {exc}") from exc
         steps.append(current)
-        diagnostics.append(_diagnose(current, step.integral_error))
     return IterationTrace(kind, tuple(steps), tuple(diagnostics))
 
 

@@ -241,6 +241,28 @@ EXPONENTIAL_NU2_ARGMAX = -math.log1p(-brentq(_exponential_nu2_log_slope, 0.4, 0.
 NU2_ARGMAX = {**MEDIANS, "exponential": EXPONENTIAL_NU2_ARGMAX}
 
 
+def exact_nodes(lo: float, step: float, n: int) -> np.ndarray:
+    """The nodes lo + j*step, j < n, in long double: the positions a uniform
+    grid stands for, free of the rounding of a double linspace."""
+    return np.longdouble(lo) + np.arange(n, dtype=np.longdouble) * np.longdouble(step)
+
+
+def cf_direct(xs, weighted, ts):
+    """sum_j weighted_j exp(i t x_j) at each t, by the dense O(len(ts) * n) sum.
+
+    The quadrature CF by its definition. It runs in the precision of its
+    arguments, so long-double nodes give a long-double sum; frequencies are
+    taken in blocks to bound the memory of the exponential table.
+    """
+    xs = np.asarray(xs)
+    ts = np.asarray(ts, dtype=xs.dtype)
+    out = np.empty(ts.shape[0], dtype=np.result_type(xs, 1j))
+    block = 256
+    for start in range(0, ts.shape[0], block):
+        out[start : start + block] = np.exp(1j * np.outer(ts[start : start + block], xs)) @ weighted
+    return out
+
+
 def uniform_cf(t):
     """CF of uniform on [0,1]: (e^{it} - 1)/(it), series near 0."""
     t = np.asarray(t, dtype=float)

@@ -153,6 +153,17 @@ def test_iterate_past_resolution_exits_1_after_writing(tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
+def test_iterate_overflow_names_the_step(tmp_path, capsys):
+    # each type3 step raises the exponential's peak (1.0e307 at rate 1e307,
+    # 1.04e307 after step 1), and the step-2 density's cumulative sums overflow
+    out = tmp_path / "o.csv"
+    assert run("iterate", "--dist", "exponential", "--params", "rate=1e307",
+               "--grid", "129", "--n", "8", "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: step 2 ") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_iterate_exponential_median_stays_near_ln2(tmp_path):
     out = tmp_path / "e.csv"
     assert run("iterate", "--dist", "exponential", "--kind", "type3",

@@ -159,6 +159,15 @@ def test_grid_density_defensive_copy():
         g.values[0] = 7.0  # read-only view
 
 
+def test_grid_density_compares_and_hashes_by_identity():
+    g = GridDensity(0.0, 1.0, np.ones(129))
+    twin = GridDensity(g.lo, g.hi, g.values)
+    assert (twin == g) is False
+    assert g == g
+    assert hash(g) == hash(g)
+    assert len({g, twin}) == 2
+
+
 def test_grid_properties():
     g = GridDensity(-1.0, 1.0, np.ones(257))
     assert g.n == 257

@@ -6,6 +6,7 @@ import pytest
 from derangetropy import (
     CharFunction,
     DistributionSpec,
+    GridDensity,
     TransformKind,
     cf_csv,
     cf_of_values,
@@ -19,7 +20,15 @@ from derangetropy import (
     type3_cf_identity_gap,
     uniform_closed_form_cf,
 )
-from derangetropy.spectral import DEFAULT_TSTEP, VARIANCE_FLOOR
+from derangetropy.grid import mean_and_variance, simpson_weights
+from derangetropy.spectral import (
+    DEFAULT_SUP_TMAX,
+    DEFAULT_TSTEP,
+    VARIANCE_FLOOR,
+    _cf_samples,
+    _frequencies,
+    _rescaled_sup_distance,
+)
 
 import oracles
 
@@ -93,6 +102,60 @@ def test_type3_cf_identity(family, ref_grids):
     assert gap <= tol
     if family == "uniform":
         assert gap < 1e-12
+
+
+# --- the CF routine against the dense sum --------------------------------------
+
+
+def _sampled(k: int) -> np.ndarray:
+    # at most 51 indices in [-k, k], ends and 0 included: the long-double dense
+    # sum costs n exponentials per frequency
+    return np.unique(np.rint(np.linspace(-k, k, min(2 * k + 1, 51))).astype(int)) + k
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("k", [0, 1, 51, 204, 2048])
+def test_cf_samples_match_dense_sum(family, k, ref_grids):
+    g = ref_grids[family]
+    weighted = simpson_weights(g.n, g.step) * g.values
+    got = _cf_samples(weighted, g.lo, g.step, DEFAULT_TSTEP, k)
+    assert got.shape == (2 * k + 1,)
+    idx = _sampled(k)
+    ts = _frequencies(k, DEFAULT_TSTEP)[idx]
+    want = oracles.cf_direct(oracles.exact_nodes(g.lo, g.step, g.n), weighted, ts)
+    assert np.max(np.abs(got[idx] - want)) <= 1e-13
+
+
+def _narrow_ramp() -> GridDensity:
+    # a ramp 1e-9 wide at 0.5, the width of the iterated bump near step 30.
+    # Its linspace nodes sit up to half an ulp of 0.5 off lo + j*h, 2e-4 of a
+    # step, so a step taken from node differences dilates every phase; the
+    # ramp is lopsided, so the dilation moves the CF at first order
+    lo, hi, n = 0.5, 0.5 + 1e-9, 4097
+    return GridDensity(lo, hi, np.linspace(0.0, 2.0, n) / (hi - lo))
+
+
+def test_cf_of_narrow_grid_uses_nominal_step():
+    g = _narrow_ramp()
+    phi = char_function(g)
+    idx = _sampled(phi.half_count)
+    weighted = simpson_weights(g.n, g.step) * g.values
+    want = oracles.cf_direct(oracles.exact_nodes(g.lo, g.step, g.n), weighted, phi.ts[idx])
+    assert np.max(np.abs(phi.values[idx] - want)) <= 1e-13
+
+
+def test_rescaled_sup_distance_of_narrow_grid_uses_nominal_step():
+    # in standard units the step error is a dilation of the unit-variance CF,
+    # which moves the sup distance at the 1e-5 level
+    g = _narrow_ramp()
+    mean, var = mean_and_variance(g)
+    sd = math.sqrt(var)
+    got = _rescaled_sup_distance(g, mean, sd, DEFAULT_TSTEP, DEFAULT_SUP_TMAX)
+    ts = _frequencies(int(DEFAULT_SUP_TMAX / DEFAULT_TSTEP), DEFAULT_TSTEP)
+    ys = (oracles.exact_nodes(g.lo, g.step, g.n) - np.longdouble(mean)) / np.longdouble(sd)
+    phi = oracles.cf_direct(ys, simpson_weights(g.n, g.step) * g.values, ts)
+    want = float(np.max(np.abs(phi - np.exp(-0.5 * ts.astype(np.longdouble) ** 2))))
+    assert got == pytest.approx(want, abs=1e-13)
 
 
 # --- closed-form uniform CF ---------------------------------------------------
