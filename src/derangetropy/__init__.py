@@ -36,7 +36,6 @@ from .grid import (
 from .residuals import (
     IcCheck,
     ResidualReport,
-    report_json,
     residual_type1,
     residual_type2,
     residual_type3,
@@ -64,9 +63,7 @@ from .transforms import (
     bernoulli_entropy,
     iterate,
     kernel,
-    log_derivative,
     log_derivative_grid,
-    log_odds,
     trace_csv,
     trace_diagnostics_json,
     transform,
@@ -95,7 +92,6 @@ __all__ = [
     "variance",
     "IcCheck",
     "ResidualReport",
-    "report_json",
     "residual_type1",
     "residual_type2",
     "residual_type3",
@@ -119,9 +115,7 @@ __all__ = [
     "bernoulli_entropy",
     "iterate",
     "kernel",
-    "log_derivative",
     "log_derivative_grid",
-    "log_odds",
     "trace_csv",
     "trace_diagnostics_json",
     "transform",

@@ -5,7 +5,8 @@ deterministic data files (CSV with 17-significant-digit values, or JSON), so
 identical flags produce byte-identical bytes. Exit codes: 0 success, 1 a
 verification check failed (or an `iterate` step's mass defect passed the
 registry's gate, after both files are written), 2 usage error (or an `iterate`
-step that overflows, before any file is written), 3 I/O error.
+step that overflows, or a `spectral` step whose variance is not a positive
+normal float, before any file is written), 3 I/O error.
 The checks themselves live in `derangetropy.checks`; `verify` formats them.
 """
 
@@ -140,7 +141,10 @@ def cmd_spectral(args: argparse.Namespace) -> int:
     g = _build_grid(spec, args.grid)
     kind = _KINDS[args.kind]
     tstep = math.tau / args.tstep_div
-    diag = spectral.gaussian_convergence(kind, g, args.n, tmax=args.tmax, tstep=tstep)
+    try:
+        diag = spectral.gaussian_convergence(kind, g, args.n, tmax=args.tmax, tstep=tstep)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     outdir = args.outdir if args.outdir is not None else "spectral"
     os.makedirs(outdir, exist_ok=True)
     _write_text(os.path.join(outdir, "diagnostics.csv"), spectral.diagnostics_csv(diag))

@@ -16,7 +16,6 @@ one-sided limits at F = 1e-8.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -96,14 +95,3 @@ def residual_type3(Fgrid: np.ndarray = DEFAULT_SWEEP) -> ResidualReport:
     )
     return ResidualReport(TransformKind.TYPE3, F, res, float(np.max(np.abs(res))), ics)
 
-
-def report_json(report: ResidualReport) -> str:
-    payload = {
-        "kind": report.kind.value,
-        "maxAbsResidual": report.max_abs_residual,
-        "icChecks": [
-            {"name": c.name, "expected": c.expected, "observed": c.observed}
-            for c in report.ic_checks
-        ],
-    }
-    return json.dumps(payload, indent=2) + "\n"

@@ -52,15 +52,6 @@ def bernoulli_entropy(p):
     return out if out.ndim else float(out)
 
 
-def log_odds(p):
-    """ln(p/(1-p)) for p strictly inside (0, 1)."""
-    p = np.asarray(p, dtype=float)
-    if np.any(p <= 0) or np.any(p >= 1):
-        raise ValueError("log_odds requires p in the open interval (0, 1)")
-    out = np.log(p / (1.0 - p))
-    return out if out.ndim else float(out)
-
-
 def kernel(kind: TransformKind, z):
     """Multiplicative weight applied to f at CDF value z. Total on [0, 1]."""
     z = np.asarray(z, dtype=float)
@@ -131,19 +122,6 @@ def log_derivative_grid(kind: TransformKind, g: GridDensity) -> tuple[np.ndarray
     logf = np.log(g.values, out=np.full(g.n, -np.inf), where=g.values > 0)
     dlnf = (logf[2:] - logf[:-2]) / (2.0 * g.step)
     return g.xs[1:-1][keep], _chain_rule(kind, F[keep], f[keep], dlnf[keep])
-
-
-def log_derivative(kind: TransformKind, g: GridDensity, x: float) -> float:
-    """Closed-form log-derivative at the grid node nearest x."""
-    i = int(round((x - g.lo) / g.step))
-    if i <= 0 or i >= g.n - 1:
-        raise ValueError(f"x={x} is not interior to the grid")
-    F = float(g.cdf[i])
-    f = float(g.values[i])
-    if not (0.0 < F < 1.0) or f <= 0 or g.values[i - 1] <= 0 or g.values[i + 1] <= 0:
-        raise ValueError("log derivative needs F in (0, 1) and f > 0 at the node")
-    dlnf = (math.log(g.values[i + 1]) - math.log(g.values[i - 1])) / (2.0 * g.step)
-    return float(_chain_rule(kind, F, f, dlnf))
 
 
 @dataclass(frozen=True)

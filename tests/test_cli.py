@@ -241,6 +241,31 @@ def test_spectral_zero_steps(tmp_path):
     assert float(diag[1].split(",")[1]) == pytest.approx(1.0 / 12.0, abs=1e-9)
 
 
+def test_spectral_deterministic_bytes(tmp_path):
+    # the diagnostics carry a centre accumulated over the re-grids, in a
+    # fixed order of float additions, so a rerun writes the same bytes
+    first, second = tmp_path / "a", tmp_path / "b"
+    for outdir in (first, second):
+        assert run("spectral", "--dist", "exponential", "--n", "40", "--grid", "1025",
+                   "--outdir", str(outdir)) == 0
+    names = sorted(p.name for p in first.iterdir())
+    assert len(names) == 6
+    for name in names:
+        assert (first / name).read_bytes() == (second / name).read_bytes()
+
+
+@pytest.mark.parametrize("rate", ["1e307", "1e-300"])
+def test_spectral_degenerate_variance_names_the_step(tmp_path, capsys, rate):
+    # the source's centered variance, 1/rate^2, underflows to 0 at rate 1e307
+    # and overflows to inf at rate 1e-300
+    outdir = tmp_path / "sp"
+    assert run("spectral", "--dist", "exponential", "--params", f"rate={rate}",
+               "--grid", "129", "--n", "8", "--outdir", str(outdir)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: step 0 ") and err.count("\n") == 1
+    assert not (outdir / "diagnostics.csv").exists()
+
+
 def test_spectral_rejects_negative_n(tmp_path, capsys):
     assert run("spectral", "--n", "-1", "--outdir", str(tmp_path / "x")) == 2
     capsys.readouterr()

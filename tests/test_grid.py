@@ -10,10 +10,8 @@ from derangetropy import (
     GridDensity,
     TransformKind,
     cumulative_simpson,
-    diagnostics_csv,
     format_value,
     from_analytic,
-    gaussian_convergence,
     integrate,
     median,
     median_of,
@@ -312,9 +310,3 @@ def test_csv_rows_matches_row_by_row_format():
     assert csv_rows(steps, names, x, y) == expected
     assert expected.startswith("0,a,-0,-0.10000000000000001\n1,b,inf,-1.0000000000000001e+300\n"
                                "2,c,nan,-4.9406564584124654e-324\n")
-
-    # a point mass has sd = 0, so its sup distance is reported as inf
-    point = np.zeros(129)
-    point[64] = 1.0
-    d = gaussian_convergence(TransformKind.TYPE3, GridDensity(-1.0, 1.0, point), 0)
-    assert diagnostics_csv(d).split("\n")[1].split(",")[3] == "inf"

@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -6,7 +5,6 @@ import pytest
 
 from derangetropy import (
     ResidualReport,
-    report_json,
     residual_type1,
     residual_type2,
     residual_type3,
@@ -94,17 +92,6 @@ def test_type3_closed_form_solution_shape():
     d3 = -8.0 * math.pi**3 * np.sin(2.0 * math.pi * F)
     # zero up to the rounding difference between 8*pi^3 and 4*pi^2 * 2*pi
     assert np.max(np.abs(d3 + 4.0 * math.pi**2 * d1)) <= 1e-12
-
-
-def test_report_json_layout():
-    report = residual_type1()
-    data = json.loads(report_json(report))
-    assert data["kind"] == "type1"
-    assert data["maxAbsResidual"] == report.max_abs_residual
-    assert data["icChecks"] == [
-        {"name": c.name, "expected": c.expected, "observed": c.observed}
-        for c in report.ic_checks
-    ]
 
 
 def test_report_is_frozen():

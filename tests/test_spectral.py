@@ -24,7 +24,6 @@ from derangetropy.grid import mean_and_variance, simpson_weights
 from derangetropy.spectral import (
     DEFAULT_SUP_TMAX,
     DEFAULT_TSTEP,
-    VARIANCE_FLOOR,
     _cf_samples,
     _frequencies,
     _rescaled_sup_distance,
@@ -227,7 +226,6 @@ def test_convergence_diagnostics_zero_steps(ref_grids):
     assert d.steps == 0
     assert len(d.variance) == 1
     assert d.variance[0] == pytest.approx(1.0 / 12.0, abs=1e-9)
-    assert not d.early_stopped
 
 
 def test_convergence_to_universal_attractor(ref_grids):
@@ -237,7 +235,6 @@ def test_convergence_to_universal_attractor(ref_grids):
     # what the grid resolves; compare gaps only above the oracle's floor
     d = gaussian_convergence(TransformKind.TYPE3, ref_grids["uniform"], 30)
     assert d.steps == 30
-    assert not d.early_stopped
     assert d.sup_distance[-1] == pytest.approx(oracles.ATTRACTOR_SUP_DISTANCE, abs=5e-5)
     assert oracles.settles_onto_attractor(d.sup_distance, start=10)
 
@@ -269,11 +266,31 @@ def test_convergence_rate_product_definition(ref_grids):
         )
 
 
-def test_convergence_early_stop_on_degenerate_variance(ref_grids):
-    d = gaussian_convergence(TransformKind.TYPE3, ref_grids["uniform"], 60)
-    assert d.early_stopped
-    assert d.steps < 60
-    assert d.variance[-1] < VARIANCE_FLOOR
+@pytest.mark.parametrize("family", FAMILIES)
+def test_convergence_holds_attractor_to_sixty_steps(ref_grids, family):
+    # iterates live in coordinates centred on the running mean, so the nodes
+    # resolve the bump at any width and the gap to D* stays at the grid's floor
+    d = gaussian_convergence(TransformKind.TYPE3, ref_grids[family], 60)
+    assert d.steps == 60
+    gaps = np.abs(d.sup_distance[30:] - oracles.ATTRACTOR_SUP_DISTANCE)
+    assert np.max(gaps) <= 1e-10
+
+
+def test_convergence_names_the_step_whose_variance_is_not_normal():
+    # the variance quarters per step, so from the unit uniform it leaves the
+    # normal floats at step 510; every row before that stays on the plateau
+    g = from_analytic(DistributionSpec("uniform"), 129)
+    d = gaussian_convergence(TransformKind.TYPE3, g, 509)
+    assert np.max(np.abs(d.sup_distance[60:] - d.sup_distance[60])) <= 1e-13
+    with pytest.raises(ValueError, match="step 510 "):
+        gaussian_convergence(TransformKind.TYPE3, g, 510)
+    # a point mass, and a source whose variance underflows, fail at step 0
+    point = np.zeros(129)
+    point[64] = 1.0
+    tiny = from_analytic(DistributionSpec("exponential", {"rate": 1e307}), 129)
+    for source in (GridDensity(-1.0, 1.0, point), tiny):
+        with pytest.raises(ValueError, match="step 0 "):
+            gaussian_convergence(TransformKind.TYPE3, source, 8)
 
 
 def test_convergence_rejects_negative_steps(ref_grids):

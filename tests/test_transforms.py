@@ -18,9 +18,7 @@ from derangetropy import (
     integrate,
     iterate,
     kernel,
-    log_derivative,
     log_derivative_grid,
-    log_odds,
     median,
     median_of,
     trace_csv,
@@ -62,14 +60,6 @@ def test_bernoulli_entropy_symmetric(z):
     # 1 - (1 - z) != z in floats near the endpoints, so symmetry is only
     # exact up to one rounding of the argument
     assert bernoulli_entropy(z) == pytest.approx(bernoulli_entropy(1.0 - z), abs=1e-12)
-
-
-def test_log_odds_domain():
-    assert log_odds(0.5) == 0.0
-    assert log_odds(0.75) == pytest.approx(math.log(3.0), rel=1e-14)
-    for bad in (0.0, 1.0, -0.1, 1.1):
-        with pytest.raises(ValueError):
-            log_odds(bad)
 
 
 # --- kernels ----------------------------------------------------------------
@@ -336,23 +326,10 @@ def test_log_derivative_matches_finite_differences(family, kind):
     assert np.max(rel) <= 2e-4
 
 
-def test_log_derivative_scalar_consistency():
+def test_log_derivative_grid_uniform_closed_form():
+    # uniform: d/dx log nu = 2 pi cot(pi x); x = 0.25 is a node of the grid
     g = from_analytic(DistributionSpec("uniform"), 4097)
-    xs, grid_vals = log_derivative_grid(TransformKind.TYPE3, g)
-    probe = 0.25
-    j = int(np.argmin(np.abs(xs - probe)))
-    assert log_derivative(TransformKind.TYPE3, g, probe) == pytest.approx(
-        float(grid_vals[j]), rel=1e-12
-    )
-    # uniform: d/dx log nu = 2 pi cot(pi x)
-    assert log_derivative(TransformKind.TYPE3, g, 0.25) == pytest.approx(
-        2.0 * math.pi / math.tan(math.pi * 0.25), rel=1e-6
-    )
-
-
-def test_log_derivative_domain_errors():
-    g = from_analytic(DistributionSpec("uniform"), 129)
-    with pytest.raises(ValueError):
-        log_derivative(TransformKind.TYPE1, g, -0.5)
-    with pytest.raises(ValueError):
-        log_derivative(TransformKind.TYPE1, g, 0.0)  # F = 0 at the endpoint
+    xs, vals = log_derivative_grid(TransformKind.TYPE3, g)
+    j = int(np.argmin(np.abs(xs - 0.25)))
+    assert xs[j] == 0.25
+    assert vals[j] == pytest.approx(2.0 * math.pi / math.tan(math.pi * 0.25), rel=1e-6)
