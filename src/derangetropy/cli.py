@@ -5,8 +5,9 @@ deterministic data files (CSV with 17-significant-digit values, or JSON), so
 identical flags produce byte-identical bytes. Exit codes: 0 success, 1 a
 verification check failed (or an `iterate` step's mass defect passed the
 registry's gate, after both files are written), 2 usage error (or an `iterate`
-step that overflows, or a `spectral` step whose variance is not a positive
-normal float, before any file is written), 3 I/O error.
+step that overflows or has a non-finite mean, variance or median, or a
+`spectral` step whose variance is not a positive normal float, before any
+file is written), 3 I/O error.
 The checks themselves live in `derangetropy.checks`; `verify` formats them.
 """
 

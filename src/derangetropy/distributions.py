@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtr
 
 FAMILIES = ("uniform", "normal", "exponential", "semicircle", "arcsine")
 
@@ -126,6 +125,8 @@ def cdf(spec: DistributionSpec, x):
         a, b = p["a"], p["b"]
         out = np.clip((x - a) / (b - a), 0.0, 1.0)
     elif spec.family == "normal":
+        from scipy.special import ndtr  # deferred: scipy.special takes ~0.3 s to import
+
         out = ndtr((x - p["mean"]) / p["stddev"])
     elif spec.family == "exponential":
         out = np.where(x > 0, -np.expm1(-p["rate"] * np.maximum(x, 0.0)), 0.0)

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -209,20 +210,20 @@ def median_of(g: GridDensity) -> float:
 
 
 def format_value(v: float) -> str:
-    """Fixed 17-significant-digit rendering of one CSV cell."""
+    """Fixed 17-significant-digit rendering of one CSV cell, as csv_rows writes it."""
     return f"{v:.17g}"
 
 
 def csv_rows(*columns) -> str:
     """Equal-length columns as comma-separated lines, each ending in a newline.
 
-    This is the only CSV writer: numeric columns are numpy arrays and every
-    cell goes through format_value; any other column is a sequence of
+    This is the only CSV writer: numeric columns are numpy arrays whose cells
+    read exactly as format_value renders them; any other column is a sequence of
     ready-made strings and passes through unchanged. Callers prepend the
-    header line.
+    header line. All cells are formatted by one `%` on a row template built
+    from the column types (`%.17g` or `%s`) and repeated once per row;
+    `"%.17g" % v` and `format_value(v)` run the same float-to-string routine.
     """
-    cells = [
-        list(map(format_value, col.tolist())) if isinstance(col, np.ndarray) else col
-        for col in columns
-    ]
-    return "".join(line + "\n" for line in map(",".join, zip(*cells)))
+    row = ",".join("%.17g" if isinstance(col, np.ndarray) else "%s" for col in columns) + "\n"
+    cells = zip(*(col.tolist() if isinstance(col, np.ndarray) else col for col in columns))
+    return (row * min(map(len, columns), default=0)) % tuple(chain.from_iterable(cells))

@@ -45,7 +45,6 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .grid import GridDensity, csv_rows, mean_and_variance, median_of, simpson, simpson_weights
 from .transforms import TransformKind, transform_step, transform_values
@@ -247,6 +246,8 @@ class ConvergenceDiagnostics:
 def _regrid(g: GridDensity, mean: float, sd: float) -> GridDensity:
     """Resample onto +-RESCALE_WINDOW_SIGMAS around the mean, in coordinates
     centred on it (the mean becomes 0)."""
+    from scipy.interpolate import CubicSpline  # deferred: scipy.interpolate takes ~0.4 s to import
+
     lo = max(g.lo - mean, -RESCALE_WINDOW_SIGMAS * sd)
     hi = min(g.hi - mean, RESCALE_WINDOW_SIGMAS * sd)
     xs = g.xs - mean

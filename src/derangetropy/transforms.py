@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import xlogy
 
 from .grid import (
     GridDensity,
@@ -45,6 +44,8 @@ class TransformKind(enum.Enum):
 
 def bernoulli_entropy(p):
     """Shannon entropy of a coin with bias p, in nats; 0*log(0) reads as 0."""
+    from scipy.special import xlogy  # deferred: scipy.special takes ~0.3 s to import
+
     p = np.asarray(p, dtype=float)
     if np.any(p < 0) or np.any(p > 1):
         raise ValueError("bernoulli_entropy requires p in [0, 1]")
@@ -142,31 +143,36 @@ class IterationTrace:
 
 
 def _diagnose(g: GridDensity, integral_error: float) -> StepDiagnostics:
-    mean, var = mean_and_variance(g)
-    return StepDiagnostics(
-        variance=var,
-        median=median_of(g),
-        mean=mean,
-        integral_error=integral_error,
-    )
+    """Step statistics, raising unless each is finite, so the sidecar holds only JSON numbers."""
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite statistic fails the check below
+        mean, var = mean_and_variance(g)
+        d = StepDiagnostics(variance=var, median=median_of(g), mean=mean, integral_error=integral_error)
+    for name, value in vars(d).items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} {value!r} is not finite")
+    return d
 
 
 def iterate(kind: TransformKind, g: GridDensity, n: int) -> IterationTrace:
     """Apply the transform n times, renormalizing at every step.
 
     Raises ValueError naming the step when an iterate leaves the range of
-    floating point (its values or its CDF's cumulative sums overflow).
+    floating point (its values or its CDF's cumulative sums overflow, or a
+    diagnostic is not finite).
     """
     if n < 1:
         raise ValueError(f"iteration count must be >= 1, got {n}")
-    steps = [g]
-    diagnostics = [_diagnose(g, abs(integrate(g) - 1.0))]
+    steps: list[GridDensity] = []
+    diagnostics: list[StepDiagnostics] = []
     current = g
-    for k in range(1, n + 1):
+    for k in range(n + 1):
         try:
-            step = transform_step(kind, current)
-            current = step.density
-            diagnostics.append(_diagnose(current, step.integral_error))
+            if k == 0:
+                integral_error = abs(integrate(current) - 1.0)
+            else:
+                step = transform_step(kind, current)
+                current, integral_error = step.density, step.integral_error
+            diagnostics.append(_diagnose(current, integral_error))
         except ValueError as exc:
             raise ValueError(f"step {k} of the {kind.value} iteration is out of range: {exc}") from exc
         steps.append(current)
@@ -174,10 +180,20 @@ def iterate(kind: TransformKind, g: GridDensity, n: int) -> IterationTrace:
 
 
 def trace_csv(trace: IterationTrace) -> str:
-    """Long-format rows `step,x,f,F` across all steps, formatted one step at a time."""
-    return "step,x,f,F\n" + "".join(
-        csv_rows([str(k)] * g.n, g.xs, g.values, g.cdf) for k, g in enumerate(trace.steps)
-    )
+    """Long-format rows `step,x,f,F` across all steps, formatted one step at a time.
+
+    The x column is formatted once per trace and reused by every step on the
+    same (lo, hi, n) grid, which is every step `iterate` builds.
+    """
+    x_cells: dict[tuple[str, str, int], list[str]] = {}
+    parts = ["step,x,f,F\n"]
+    for k, g in enumerate(trace.steps):
+        # repr, not ==, so grids ending at 0.0 and -0.0 do not share a column
+        key = (repr(g.lo), repr(g.hi), g.n)
+        if key not in x_cells:
+            x_cells[key] = csv_rows(g.xs).splitlines()
+        parts.append(csv_rows([str(k)] * g.n, x_cells[key], g.values, g.cdf))
+    return "".join(parts)
 
 
 def trace_diagnostics_json(trace: IterationTrace) -> str:

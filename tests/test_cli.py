@@ -164,6 +164,19 @@ def test_iterate_overflow_names_the_step(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.filterwarnings("error")
+def test_iterate_nonfinite_diagnostic_names_the_step(tmp_path, capsys):
+    # the source's 4e301-wide support squares to an infinite variance at
+    # step 0; no numpy warning escapes, and no file is written
+    out = tmp_path / "o.csv"
+    assert run("iterate", "--dist", "exponential", "--params", "rate=1e-300",
+               "--grid", "4097", "--n", "2", "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: step 0 ") and "variance inf is not finite" in err
+    assert err.count("\n") == 1
+    assert not out.exists() and not (tmp_path / "o.diagnostics.json").exists()
+
+
 def test_iterate_exponential_median_stays_near_ln2(tmp_path):
     out = tmp_path / "e.csv"
     assert run("iterate", "--dist", "exponential", "--kind", "type3",
@@ -315,3 +328,17 @@ def test_console_script_runs():
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "dlab" in proc.stdout
+
+
+def test_type3_iterate_loads_no_scipy(tmp_path):
+    # scipy is imported only where its functions are called: Types I and II,
+    # the normal CDF and spectral re-gridding
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    probe = ("import sys; from derangetropy.cli import main; {}"
+             "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))")
+    for call in ("", "assert main(['iterate', '--grid', '129', '--n', '2', '--out', 't.csv']) == 0; "):
+        proc = subprocess.run([sys.executable, "-c", probe.format(call)],
+                              capture_output=True, text=True, env=env, cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
+    assert (tmp_path / "t.csv").exists()

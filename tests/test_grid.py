@@ -310,3 +310,24 @@ def test_csv_rows_matches_row_by_row_format():
     assert csv_rows(steps, names, x, y) == expected
     assert expected.startswith("0,a,-0,-0.10000000000000001\n1,b,inf,-1.0000000000000001e+300\n"
                                "2,c,nan,-4.9406564584124654e-324\n")
+
+
+# +-0, the subnormal ends, +-inf and quiet and signalling NaNs of either sign,
+# which arbitrary bit patterns rarely reach, go into every example
+_SPECIAL_FLOATS = np.array(
+    [0, 1 << 63, 1, (1 << 52) - 1, 0x7FF0 << 48, 0xFFF0 << 48,
+     0x7FF8 << 48, 0xFFF8 << 48, (0x7FF0 << 48) + 1, (0xFFF0 << 48) + 1],
+    dtype=np.uint64,
+).view(np.float64)
+
+
+@given(raw=st.binary(max_size=8 * 64))
+@settings(max_examples=200, deadline=None)
+def test_csv_rows_batched_bytes_match_per_cell_format(raw):
+    # float64 columns from arbitrary bit patterns, with a string column between
+    drawn = np.frombuffer(raw[: len(raw) // 8 * 8], dtype=np.float64)
+    x = np.concatenate([_SPECIAL_FLOATS, drawn])
+    y = x[::-1].copy()
+    names = [("", "a", "%s", "%.17g", "b,c")[i % 5] for i in range(x.shape[0])]
+    expected = "".join(f"{a:.17g},{name},{b:.17g}\n" for a, name, b in zip(x.tolist(), names, y.tolist()))
+    assert csv_rows(x, names, y) == expected

@@ -12,6 +12,7 @@ from derangetropy import (
     TYPE2_CONSTANT,
     DistributionSpec,
     GridDensity,
+    IterationTrace,
     TransformKind,
     bernoulli_entropy,
     from_analytic,
@@ -286,6 +287,33 @@ def test_trace_csv_layout():
     assert len(lines) == 1 + 3 * 129
     first = lines[1].split(",")
     assert first[0] == "0" and float(first[1]) == 0.0
+
+
+def _trace_csv_reference(trace):
+    # row by row, each numeric cell as format_value renders it
+    return "step,x,f,F\n" + "".join(
+        f"{k},{x:.17g},{f:.17g},{F:.17g}\n"
+        for k, g in enumerate(trace.steps)
+        for x, f, F in zip(g.xs.tolist(), g.values.tolist(), g.cdf.tolist())
+    )
+
+
+def test_trace_csv_matches_per_cell_reference():
+    tr = iterate(TransformKind.TYPE1, from_analytic(DistributionSpec("exponential"), 129), 3)
+    assert len(tr.steps) == 4
+    assert trace_csv(tr) == _trace_csv_reference(tr)
+
+
+def test_trace_csv_formats_x_per_grid():
+    # steps on different grids, two of which differ only in the sign of a
+    # zero end, each keep their own x column
+    vals = np.linspace(1.0, 2.0, 129)
+    steps = (GridDensity(-1.0, 0.0, vals), GridDensity(-1.0, -0.0, vals),
+             GridDensity(-2.0, 0.0, vals), GridDensity(-1.0, 0.0, vals))
+    tr = IterationTrace(TransformKind.TYPE3, steps, ())
+    text = trace_csv(tr)
+    assert text == _trace_csv_reference(tr)
+    assert "\n1,-0," in text and "\n0,0," in text
 
 
 def test_trace_diagnostics_json_layout():
