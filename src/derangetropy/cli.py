@@ -5,10 +5,10 @@ deterministic data files (CSV with 17-significant-digit values, or JSON), so
 identical flags produce byte-identical bytes. Exit codes: 0 success, 1 a
 verification check failed (or an `iterate` step's mass defect passed the
 registry's gate, after both files are written), 2 usage error (or an `iterate`
-step that overflows or has a non-finite mean, variance or median, or a
-`spectral` step whose variance is not a positive normal float, before any
-file is written), 3 I/O error.
-The checks themselves live in `derangetropy.checks`; `verify` formats them.
+step that overflows or has a non-finite mean, variance or median, a `spectral`
+step whose variance is not a positive normal float, or a `spectral` --tmax that
+is not finite and positive or --tstep-div below 1, before any file is written),
+3 I/O error. The checks themselves live in `derangetropy.checks`; `verify` formats them.
 """
 
 from __future__ import annotations
@@ -37,9 +37,6 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
-
-_KINDS = {k.value: k for k in TransformKind}
-
 
 class UsageError(Exception):
     pass
@@ -87,8 +84,7 @@ def _write_text(path: str | None, text: str) -> None:
 def cmd_transform(args: argparse.Namespace) -> int:
     spec = _build_spec(args)
     g = _build_grid(spec, args.grid)
-    kind = _KINDS[args.kind]
-    out = transform(kind, g)
+    out = transform(TransformKind(args.kind), g)
     table = csv_rows(g.xs, g.values, g.cdf, out.values)
     _write_text(args.out, "x,f,F,transformed\n" + table)
     return EXIT_OK
@@ -102,7 +98,7 @@ def cmd_iterate(args: argparse.Namespace) -> int:
     spec = _build_spec(args)
     g = _build_grid(spec, args.grid)
     try:
-        trace = iterate(_KINDS[args.kind], g, args.n)
+        trace = iterate(TransformKind(args.kind), g, args.n)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     _write_text(args.out, trace_csv(trace))
@@ -138,12 +134,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_spectral(args: argparse.Namespace) -> int:
     if args.n < 0:
         raise UsageError(f"spectral requires --n >= 0, got {args.n}")
+    if args.tstep_div < 1:
+        raise UsageError(f"spectral requires --tstep-div >= 1, got {args.tstep_div}")
+    if not 0 < args.tmax < math.inf:
+        raise UsageError(f"spectral requires a finite --tmax > 0, got {args.tmax}")
     spec = _build_spec(args)
     g = _build_grid(spec, args.grid)
-    kind = _KINDS[args.kind]
     tstep = math.tau / args.tstep_div
     try:
-        diag = spectral.gaussian_convergence(kind, g, args.n, tmax=args.tmax, tstep=tstep)
+        diag = spectral.gaussian_convergence(TransformKind(args.kind), g, args.n, tmax=args.tmax, tstep=tstep)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     outdir = args.outdir if args.outdir is not None else "spectral"
@@ -191,7 +190,7 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_common(p: argparse.ArgumentParser, *, kind_default: str = "type3") -> None:
         p.add_argument("--dist", default="uniform", choices=FAMILIES)
         p.add_argument("--params", default=None, help="family parameters as k=v,...")
-        p.add_argument("--kind", default=kind_default, choices=sorted(_KINDS))
+        p.add_argument("--kind", default=kind_default, choices=[k.value for k in TransformKind])
         p.add_argument("--grid", type=int, default=4097, metavar="N")
 
     p = sub.add_parser("transform", help="write x,f,F,transformed for one application")

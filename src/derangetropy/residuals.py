@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .transforms import TYPE1_CONSTANT, TYPE2_CONSTANT, TransformKind, bernoulli_entropy
+from .transforms import _KERNELS, TransformKind, _log_slope, kernel
 
 IC_PROBE = 1e-8
 DEFAULT_SWEEP = np.linspace(0.05, 0.95, 181)
@@ -50,36 +50,37 @@ def _validate_interior(F: np.ndarray) -> np.ndarray:
     return F
 
 
-def _entropy_weight_derivatives(s: float, constant: float, F: np.ndarray):
-    """w = constant * sin(pi*F) * exp(s*H(F)) and its first two F-derivatives.
+def _entropy_weight_derivatives(kind: TransformKind, F: np.ndarray):
+    """w = kernel(kind, F), its first two F-derivatives, and L = ln((1-F)/F).
 
-    s = -1 gives Type-I (rho), s = +1 Type-II (tau); d(log w)/dF = pi*cot + s*L.
+    d(log w)/dF = pi*cot + s*L, with s = -1 for Type-I (rho) and +1 for Type-II (tau).
     """
+    _, s = _KERNELS[kind]
     L = np.log((1.0 - F) / F)
-    w = constant * np.sin(math.pi * F) * np.exp(s * bernoulli_entropy(F))
-    cot = np.cos(math.pi * F) / np.sin(math.pi * F)
+    w = kernel(kind, F)
+    slope = _log_slope(kind, F)
     csc2 = 1.0 / np.sin(math.pi * F) ** 2
-    d1 = w * (math.pi * cot + s * L)
-    d2 = w * ((math.pi * cot + s * L) ** 2 - math.pi**2 * csc2 - s / (F * (1.0 - F)))
+    d1 = w * slope
+    d2 = w * (slope**2 - math.pi**2 * csc2 - s / (F * (1.0 - F)))
     return w, d1, d2, L
 
 
-def _entropy_residual(kind: TransformKind, s: float, constant: float, Fgrid: np.ndarray,
-                      ic_name: str, ic_expected: float) -> ResidualReport:
+def _entropy_residual(kind: TransformKind, Fgrid: np.ndarray, ic_name: str, ic_expected: float) -> ResidualReport:
     F = _validate_interior(Fgrid)
-    w, d1, d2, L = _entropy_weight_derivatives(s, constant, F)
+    _, s = _KERNELS[kind]
+    w, d1, d2, L = _entropy_weight_derivatives(kind, F)
     res = d2 - 2.0 * s * L * d1 + (math.pi**2 + s / (F * (1.0 - F)) + L * L) * w
-    _, slope, _, _ = _entropy_weight_derivatives(s, constant, np.array([IC_PROBE]))
+    _, slope, _, _ = _entropy_weight_derivatives(kind, np.array([IC_PROBE]))
     ics = (IcCheck(ic_name, ic_expected, float(slope[0])),)
     return ResidualReport(kind, F, res, float(np.max(np.abs(res))), ics)
 
 
 def residual_type1(Fgrid: np.ndarray = DEFAULT_SWEEP) -> ResidualReport:
-    return _entropy_residual(TransformKind.TYPE1, -1.0, TYPE1_CONSTANT, Fgrid, "drho_dF_at_0", 24.0 / math.e)
+    return _entropy_residual(TransformKind.TYPE1, Fgrid, "drho_dF_at_0", 24.0 / math.e)
 
 
 def residual_type2(Fgrid: np.ndarray = DEFAULT_SWEEP) -> ResidualReport:
-    return _entropy_residual(TransformKind.TYPE2, 1.0, TYPE2_CONSTANT, Fgrid, "dtau_dF_at_0", math.e)
+    return _entropy_residual(TransformKind.TYPE2, Fgrid, "dtau_dF_at_0", math.e)
 
 
 def residual_type3(Fgrid: np.ndarray = DEFAULT_SWEEP) -> ResidualReport:

@@ -99,8 +99,8 @@ class CharFunction:
 
 
 def _half_count(tstep: float, tmax: float) -> int:
-    if tstep <= 0 or tmax <= 0:
-        raise ValueError("tstep and tmax must be positive")
+    if not (0 < tstep < math.inf and 0 < tmax < math.inf):
+        raise ValueError("tstep and tmax must be finite and positive")
     return int(math.floor(tmax / tstep + 1e-9))
 
 

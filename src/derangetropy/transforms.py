@@ -1,11 +1,11 @@
 """Entropy-modulated density transforms.
 
-Each transform multiplies a density f by a weight that depends only on the
-local CDF value z = F(x):
+Each transform multiplies a density f by a weight k(z) = C * sin(pi*z) * m(z)
+of the local CDF value z = F(x), with C and m from one row of `_KERNELS`:
 
-  Type-I    (24/(pi*e)) * sin(pi*z) * exp(-H(z))   entropy-attenuating
-  Type-II   (e/pi)      * sin(pi*z) * exp(+H(z))   entropy-amplifying
-  Type-III  2 * sin(pi*z)**2                       phase-modulated
+  Type-I    C = 24/(pi*e)   m = exp(-H(z))   entropy-attenuating
+  Type-II   C = e/pi        m = exp(+H(z))   entropy-amplifying
+  Type-III  C = 2           m = sin(pi*z)    phase-modulated
 
 where H is the Bernoulli entropy. With the 0**0 = 1 convention the weights
 are total on [0, 1] and vanish at both endpoints, so transformed densities
@@ -42,6 +42,14 @@ class TransformKind(enum.Enum):
     TYPE3 = "type3"
 
 
+# kind -> (C, s) in k(z) = C * sin(pi*z) * m(z): m = exp(s*H(z)), or sin(pi*z) where s is None
+_KERNELS = {
+    TransformKind.TYPE1: (TYPE1_CONSTANT, -1.0),
+    TransformKind.TYPE2: (TYPE2_CONSTANT, 1.0),
+    TransformKind.TYPE3: (2.0, None),
+}
+
+
 def bernoulli_entropy(p):
     """Shannon entropy of a coin with bias p, in nats; 0*log(0) reads as 0."""
     from scipy.special import xlogy  # deferred: scipy.special takes ~0.3 s to import
@@ -58,17 +66,20 @@ def kernel(kind: TransformKind, z):
     z = np.asarray(z, dtype=float)
     if np.any(z < 0) or np.any(z > 1):
         raise ValueError("kernel requires z in [0, 1]")
-    s = np.sin(math.pi * z)
-    if kind == TransformKind.TYPE1:
-        out = TYPE1_CONSTANT * s * np.exp(-bernoulli_entropy(z))
-    elif kind == TransformKind.TYPE2:
-        out = TYPE2_CONSTANT * s * np.exp(bernoulli_entropy(z))
-    else:
-        out = 2.0 * s * s
+    constant, s = _KERNELS[kind]
+    sin = np.sin(math.pi * z)
+    out = constant * sin * (sin if s is None else np.exp(s * bernoulli_entropy(z)))
     # float sin(pi) is ~1.2e-16, not 0; the endpoints must map to exact zeros
     # so transformed densities vanish exactly where the support ends
     out = np.where((z == 0.0) | (z == 1.0), 0.0, out)
     return out if out.ndim else float(out)
+
+
+def _log_slope(kind: TransformKind, z: np.ndarray) -> np.ndarray:
+    """d(ln k)/dz inside (0, 1): pi*cot(pi*z) + s*ln((1-z)/z), or 2*pi*cot(pi*z) for Type-III."""
+    _, s = _KERNELS[kind]
+    cot = np.cos(math.pi * z) / np.sin(math.pi * z)
+    return 2.0 * math.pi * cot if s is None else math.pi * cot + s * np.log((1.0 - z) / z)
 
 
 def transform_values(kind: TransformKind, g: GridDensity) -> np.ndarray:
@@ -93,25 +104,10 @@ def transform(kind: TransformKind, g: GridDensity) -> GridDensity:
     return transform_step(kind, g).density
 
 
-def _chain_rule(kind: TransformKind, F, f, dlnf):
-    """Log-derivative of the transformed density from F, f and f'/f at nodes.
-
-    The chain rule through z = F(x) gives, with L = ln(F/(1-F)),
-      Type-I    pi*cot(pi*F)*f + L*f + f'/f
-      Type-II   pi*cot(pi*F)*f - L*f + f'/f
-      Type-III  2*pi*cot(pi*F)*f + f'/f
-    """
-    cot = np.cos(math.pi * F) / np.sin(math.pi * F)
-    if kind == TransformKind.TYPE1:
-        return math.pi * cot * f + np.log(F / (1.0 - F)) * f + dlnf
-    if kind == TransformKind.TYPE2:
-        return math.pi * cot * f - np.log(F / (1.0 - F)) * f + dlnf
-    return 2.0 * math.pi * cot * f + dlnf
-
-
 def log_derivative_grid(kind: TransformKind, g: GridDensity) -> tuple[np.ndarray, np.ndarray]:
     """Interior nodes and the closed-form log-derivative of the transform there.
 
+    By the chain rule through z = F(x) it is d(ln k)/dz * f + f'/f, where
     f'/f comes from central differences of log f, the only derivative a
     tabulated density has. Nodes where F has left (0, 1) or f vanishes are
     dropped rather than raising, so the profile stays usable near support
@@ -122,7 +118,7 @@ def log_derivative_grid(kind: TransformKind, g: GridDensity) -> tuple[np.ndarray
     keep = (F > 0) & (F < 1) & (f > 0) & (g.values[:-2] > 0) & (g.values[2:] > 0)
     logf = np.log(g.values, out=np.full(g.n, -np.inf), where=g.values > 0)
     dlnf = (logf[2:] - logf[:-2]) / (2.0 * g.step)
-    return g.xs[1:-1][keep], _chain_rule(kind, F[keep], f[keep], dlnf[keep])
+    return g.xs[1:-1][keep], _log_slope(kind, F[keep]) * f[keep] + dlnf[keep]
 
 
 @dataclass(frozen=True)

@@ -160,6 +160,22 @@ TYPE1_CONSTANT = math.pi * math.e / 24.0
 TYPE2_CONSTANT = math.pi / math.e
 
 
+def kernel_value(kind: str, z: float) -> float:
+    """The paper's weight at one CDF value z in [0, 1], from its scalar closed form.
+
+    _entropy_weight(z) = exp(-H(z)), and the oracle constants above are the
+    reciprocals of the Type-I/II leading constants.
+    """
+    if z <= 0.0 or z >= 1.0:
+        return 0.0
+    s = math.sin(math.pi * z)
+    if kind == "type1":
+        return s * _entropy_weight(z) / TYPE1_CONSTANT
+    if kind == "type2":
+        return s / _entropy_weight(z) / TYPE2_CONSTANT
+    return 2.0 * s * s
+
+
 # --- closed-form reference distributions ----------------------------------
 
 

@@ -284,6 +284,17 @@ def test_spectral_rejects_negative_n(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("flag,value", [("--tstep-div", "0"), ("--tstep-div", "-64"),
+                                        ("--tmax", "inf"), ("--tmax", "nan")])
+def test_spectral_rejects_bad_frequency_window(tmp_path, capsys, flag, value):
+    outdir = tmp_path / "sp"
+    assert run("spectral", flag, value, "--grid", "129", "--n", "2", "--outdir", str(outdir)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert flag in err
+    assert not outdir.exists()
+
+
 # --- figures --------------------------------------------------------------------
 
 

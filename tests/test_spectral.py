@@ -57,6 +57,14 @@ def test_char_function_frequency_grid():
     assert phi.at_zero() == pytest.approx(1.0, abs=1e-13)
 
 
+@pytest.mark.parametrize("kwargs", [{"tmax": math.inf}, {"tmax": math.nan}, {"tstep": math.inf},
+                                    {"tmax": 0.0}, {"tstep": -DEFAULT_TSTEP}],
+                         ids=["tmax-inf", "tmax-nan", "tstep-inf", "tmax-zero", "tstep-negative"])
+def test_char_function_rejects_bad_window(kwargs):
+    with pytest.raises(ValueError, match="finite and positive"):
+        char_function(from_analytic(DistributionSpec("uniform"), 129), **kwargs)
+
+
 # --- quadrature CFs -----------------------------------------------------------
 
 

@@ -78,6 +78,17 @@ def test_kernel_peak_values():
     assert kernel(TransformKind.TYPE3, 0.5) == pytest.approx(2.0, rel=1e-14)
 
 
+@pytest.mark.parametrize("kind", KINDS, ids=[k.value for k in KINDS])
+def test_kernel_matches_scalar_oracle(kind):
+    # pointwise, out to z within 1e-12 of either end, where each weight is tiny but normal
+    z = np.concatenate([[0.0, 1e-12, 1e-9, 1e-6, 1e-3], np.linspace(0.0, 1.0, 1001)[1:-1],
+                        [1.0 - 1e-3, 1.0 - 1e-6, 1.0 - 1e-9, 1.0 - 1e-12, 1.0]])
+    got = kernel(kind, z)
+    want = np.array([oracles.kernel_value(kind.value, float(v)) for v in z])
+    assert got[0] == want[0] == 0.0 and got[-1] == want[-1] == 0.0
+    assert np.max(np.abs(got[1:-1] - want[1:-1]) / want[1:-1]) <= 1e-14
+
+
 def test_kernel_bounds_on_sweep():
     z = np.linspace(0.0, 1.0, 20001)
     assert np.max(kernel(TransformKind.TYPE1, z)) <= 1.4052
@@ -354,10 +365,20 @@ def test_log_derivative_matches_finite_differences(family, kind):
     assert np.max(rel) <= 2e-4
 
 
-def test_log_derivative_grid_uniform_closed_form():
-    # uniform: d/dx log nu = 2 pi cot(pi x); x = 0.25 is a node of the grid
+@pytest.mark.parametrize("kind", KINDS, ids=[k.value for k in KINDS])
+def test_log_derivative_grid_uniform_closed_form(kind):
+    # uniform: F = x and f = 1, so d/dx log of the transform is the kernel's
+    # log-slope, pi cot(pi x) + s ln((1-x)/x) with s = -1 (Type-I) or +1
+    # (Type-II), and 2 pi cot(pi x) for Type-III; x = 0.25 is a node of the grid
+    x = 0.25
+    cot = 1.0 / math.tan(math.pi * x)
+    want = {
+        TransformKind.TYPE1: math.pi * cot - math.log((1.0 - x) / x),
+        TransformKind.TYPE2: math.pi * cot + math.log((1.0 - x) / x),
+        TransformKind.TYPE3: 2.0 * math.pi * cot,
+    }[kind]
     g = from_analytic(DistributionSpec("uniform"), 4097)
-    xs, vals = log_derivative_grid(TransformKind.TYPE3, g)
-    j = int(np.argmin(np.abs(xs - 0.25)))
-    assert xs[j] == 0.25
-    assert vals[j] == pytest.approx(2.0 * math.pi / math.tan(math.pi * 0.25), rel=1e-6)
+    xs, vals = log_derivative_grid(kind, g)
+    j = int(np.argmin(np.abs(xs - x)))
+    assert xs[j] == x
+    assert vals[j] == pytest.approx(want, rel=1e-6)
