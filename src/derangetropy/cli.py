@@ -6,8 +6,9 @@ identical flags produce byte-identical bytes. Exit codes: 0 success, 1 a
 verification check failed (or an `iterate` step's mass defect passed the
 registry's gate, after both files are written), 2 usage error (or an `iterate`
 step that overflows or has a non-finite mean, variance or median, a `spectral`
-step whose variance is not a positive normal float, or a `spectral` --tmax that
-is not finite and positive or --tstep-div below 1, before any file is written),
+step whose variance is not a positive normal float, or a `spectral` --tmax or
+--tstep-div out of range, before any file is written; each CF window is capped
+at spectral.MAX_HALF_COUNT frequencies per side),
 3 I/O error. The checks themselves live in `derangetropy.checks`; `verify` formats them.
 """
 
@@ -138,9 +139,16 @@ def cmd_spectral(args: argparse.Namespace) -> int:
         raise UsageError(f"spectral requires --tstep-div >= 1, got {args.tstep_div}")
     if not 0 < args.tmax < math.inf:
         raise UsageError(f"spectral requires a finite --tmax > 0, got {args.tmax}")
+    # the CF dumps span |t| <= DEFAULT_TMAX = 64*pi, a window of 32*D frequencies per side
+    if 32 * args.tstep_div > spectral.MAX_HALF_COUNT:
+        raise UsageError(f"spectral requires --tstep-div <= {spectral.MAX_HALF_COUNT // 32}, got {args.tstep_div}")
+    tstep = math.tau / args.tstep_div
+    try:
+        spectral.window_half_count(tstep, args.tmax)
+    except ValueError as exc:
+        raise UsageError(f"spectral --tmax {args.tmax} with --tstep-div {args.tstep_div}: {exc}") from exc
     spec = _build_spec(args)
     g = _build_grid(spec, args.grid)
-    tstep = math.tau / args.tstep_div
     try:
         diag = spectral.gaussian_convergence(TransformKind(args.kind), g, args.n, tmax=args.tmax, tstep=tstep)
     except ValueError as exc:
@@ -214,8 +222,11 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--n", type=int, default=30, metavar="K")
     p.add_argument("--tmax", type=float, default=spectral.DEFAULT_SUP_TMAX,
-                   help="half-width of the Gaussian-comparison frequency window")
-    p.add_argument("--tstep-div", type=int, default=64, metavar="D", help="tstep = 2*pi/D")
+                   help="half-width of the Gaussian-comparison frequency window;"
+                        f" finite, > 0 and at most {spectral.MAX_HALF_COUNT} steps of tstep")
+    p.add_argument("--tstep-div", type=int, default=64, metavar="D",
+                   help=f"tstep = 2*pi/D, 1 <= D <= {spectral.MAX_HALF_COUNT // 32}"
+                        f" (the CF dumps span |t| <= 64*pi, 32*D steps)")
     p.add_argument("--outdir", default=None)
     p.set_defaults(func=cmd_spectral)
 

@@ -23,19 +23,21 @@ Iterating the phase-modulated transform contracts the density onto its median
 (the variance shrinks roughly fourfold per step), so a fixed grid would stop
 resolving the bump after a dozen steps. The convergence loop therefore
 re-grids adaptively: when the current window is much wider than the bump it
-re-samples the density with a cubic spline onto a tight window around the
-mean, in coordinates centred on that mean. The centre is a float offset that
-each re-grid adds its mean to, and it is added back only to the reported
+re-samples the density onto a tight window around the mean, in coordinates
+centred on that mean. Each new node takes the Lagrange polynomial through the
+six old nodes around it, moved inward at the grid's ends, so the re-grid is
+exact for polynomials of degree 5 (local interpolation on uniform nodes; Berrut
+& Trefethen 2004). The weights depend only on the node's position in old
+steps, so they stay O(1) however narrow the bump is. The stencil sets the gap
+floor |d_n - D*|: 1.56e-11 on the five default families at 4097 nodes, against
+3.2e-10 for four points and 1.555e-11 for eight. The centre is a float offset
+that each re-grid adds its mean to, and it is added back only to the reported
 median, so the nodes stay uniform relative to the bump's width however narrow
 it gets; in absolute x half an ulp of the median is already 3e-7 standard
-deviations by step 30. The spline is fitted in units of a power of two near
-the standard deviation, an exact rescaling that keeps its coefficients finite.
-The loop thus follows the iteration until the variance itself leaves the
-normal floats (step 510 from the unit uniform) and then raises, naming the
-step. A shape-preserving (PCHIP) interpolant would clamp the slope at the
-peak, and its error would accumulate across steps. The rescaled shape is
-grid-independent, so once the tails are light the diagnostics do not depend
-on when the re-gridding happens.
+deviations by step 30. The loop thus follows the iteration until the variance
+itself leaves the normal floats (step 510 from the unit uniform) and then
+raises, naming the step. The rescaled shape is grid-independent, so once the
+tails are light the diagnostics do not depend on when the re-gridding happens.
 """
 
 from __future__ import annotations
@@ -52,6 +54,11 @@ from .transforms import TransformKind, transform_step, transform_values
 DEFAULT_TSTEP = math.tau / 64.0
 DEFAULT_TMAX = 64.0 * math.pi
 DEFAULT_SUP_TMAX = 5.0
+
+# Largest half-count K of a frequency window. At the cap the Bluestein
+# convolution of a grid under 2**19 nodes runs at 2**20 points, 16 MB per
+# complex array.
+MAX_HALF_COUNT = 2**18
 
 # Width of the re-gridding window in standard deviations, and how much wider
 # than that window the current grid must be before re-gridding pays off.
@@ -70,11 +77,11 @@ class CharFunction:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        if not self.tstep > 0:
-            raise ValueError(f"tstep must be positive, got {self.tstep}")
+        if not 0 < self.tstep < math.inf:
+            raise ValueError(f"tstep must be finite and positive, got {self.tstep}")
         shifts_per_turn = math.tau / self.tstep
-        if abs(shifts_per_turn - round(shifts_per_turn)) > 1e-9:
-            raise ValueError(f"2*pi/tstep must be an integer, got {shifts_per_turn}")
+        if round(shifts_per_turn) < 1 or abs(shifts_per_turn - round(shifts_per_turn)) > 1e-9:
+            raise ValueError(f"2*pi/tstep must be an integer >= 1, got {shifts_per_turn}")
         vals = np.asarray(self.values, dtype=complex)
         if vals.shape[0] % 2 == 0:
             raise ValueError(f"expected an odd number 2K+1 of samples, got {vals.shape[0]}")
@@ -98,10 +105,15 @@ class CharFunction:
         return complex(self.values[self.half_count])
 
 
-def _half_count(tstep: float, tmax: float) -> int:
+def window_half_count(tstep: float, tmax: float) -> int:
+    """K = floor(tmax/tstep) of the window t = k*tstep, |k| <= K, at most
+    MAX_HALF_COUNT."""
     if not (0 < tstep < math.inf and 0 < tmax < math.inf):
         raise ValueError("tstep and tmax must be finite and positive")
-    return int(math.floor(tmax / tstep + 1e-9))
+    k = tmax / tstep + 1e-9
+    if not k < MAX_HALF_COUNT + 1:
+        raise ValueError(f"tmax/tstep = {k:.6g} exceeds the cap of {MAX_HALF_COUNT} frequencies per side")
+    return int(math.floor(k))
 
 
 def _frequencies(k: int, tstep: float) -> np.ndarray:
@@ -156,7 +168,7 @@ def cf_of_values(g: GridDensity, values: np.ndarray, tstep: float, tmax: float,
     weighted = simpson_weights(g.n, g.step) * values
     if phase is not None:
         weighted = weighted * phase
-    return CharFunction(tstep, _cf_samples(weighted, g.lo, g.step, tstep, _half_count(tstep, tmax)))
+    return CharFunction(tstep, _cf_samples(weighted, g.lo, g.step, tstep, window_half_count(tstep, tmax)))
 
 
 def char_function(g: GridDensity, tstep: float = DEFAULT_TSTEP, tmax: float = DEFAULT_TMAX) -> CharFunction:
@@ -245,19 +257,15 @@ class ConvergenceDiagnostics:
 
 def _regrid(g: GridDensity, mean: float, sd: float) -> GridDensity:
     """Resample onto +-RESCALE_WINDOW_SIGMAS around the mean, in coordinates
-    centred on it (the mean becomes 0)."""
-    from scipy.interpolate import CubicSpline  # deferred: scipy.interpolate takes ~0.4 s to import
-
+    centred on it (the mean becomes 0), by 6-point Lagrange interpolation."""
     lo = max(g.lo - mean, -RESCALE_WINDOW_SIGMAS * sd)
     hi = min(g.hi - mean, RESCALE_WINDOW_SIGMAS * sd)
-    xs = g.xs - mean
-    pad = 2.0 * g.step
-    mask = (xs >= lo - pad) & (xs <= hi + pad)
-    # fit in units of s, a power of two near sd: the rescaling is exact, and
-    # the spline's coefficients stay finite however narrow the bump is
-    s = math.ldexp(1.0, math.frexp(sd)[1])
-    interp = CubicSpline(xs[mask] / s, g.values[mask] * s, extrapolate=False)
-    vals = np.clip(interp(np.linspace(lo, hi, g.n) / s), 0.0, None) / s
+    u = (np.linspace(lo, hi, g.n) - (g.lo - mean)) / g.step  # new nodes in old steps
+    first = np.clip(np.floor(u).astype(int) - 2, 0, g.n - 6)  # stencil moved inward at the ends
+    k = np.arange(6)
+    d = (u - first)[:, None] - k
+    w = np.stack([np.prod(d[:, k != j], axis=1) / np.prod(j - k[k != j]) for j in k], axis=1)
+    vals = np.clip(np.sum(w * g.values[first[:, None] + k], axis=1), 0.0, None)
     return GridDensity(lo, hi, vals / simpson(vals, lo, hi))
 
 
@@ -272,7 +280,7 @@ def _checked_moments(g: GridDensity) -> tuple[float, float]:
 
 def _rescaled_sup_distance(g: GridDensity, mean: float, sd: float,
                            tstep: float, tmax: float) -> float:
-    k = _half_count(tstep, tmax)
+    k = window_half_count(tstep, tmax)
     weighted = simpson_weights(g.n, g.step) * g.values
     phi = _cf_samples(weighted, (g.lo - mean) / sd, g.step / sd, tstep, k)
     ts = _frequencies(k, tstep)

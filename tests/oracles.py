@@ -115,9 +115,9 @@ def attractor_sup_distance() -> float:
 ATTRACTOR_SUP_DISTANCE = attractor_sup_distance()
 
 # |d_n - ATTRACTOR_SUP_DISTANCE| is resolvable down to this floor. The
-# package's own discretization (Simpson weights, the re-gridding spline, the
-# empirical rescaling) leaves a gap of 4.94e-11 on all five default 4097-node
-# grids from n = 25 to n = 120 (1.9e-13 for the uniform at 16385 nodes). The
+# package's own discretization (Simpson weights, the re-gridding stencil, the
+# empirical rescaling) leaves a gap of 1.56e-11 on all five default 4097-node
+# grids from n = 30 to n = 60 (6.0e-14 for the uniform at 16385 nodes). The
 # exact gap of the default families falls below 1e-8 between n = 12 and
 # n = 15; below the floor the ordering of gaps is noise.
 ATTRACTOR_GAP_FLOOR = 1e-8

@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from derangetropy import spectral
 from derangetropy.cli import main
 
 import oracles
@@ -284,8 +285,20 @@ def test_spectral_rejects_negative_n(tmp_path, capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("flag,value", [("--tstep-div", "0"), ("--tstep-div", "-64"),
-                                        ("--tmax", "inf"), ("--tmax", "nan")])
+# the first rejected values past the CF window cap: the dump window of 32*D
+# frequencies per side, and the comparison window of floor(tmax*D/(2*pi)) at
+# the default D = 64
+_FIRST_WIDE_TSTEP_DIV = spectral.MAX_HALF_COUNT // 32 + 1
+_FIRST_WIDE_TMAX = (spectral.MAX_HALF_COUNT + 1) * math.tau / 64.0
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--tstep-div", "0"), ("--tstep-div", "-64"), ("--tmax", "inf"), ("--tmax", "nan"),
+    pytest.param("--tstep-div", str(_FIRST_WIDE_TSTEP_DIV), id="--tstep-div-first-past-cap"),
+    pytest.param("--tstep-div", str(10**401), id="--tstep-div-10**401"),
+    pytest.param("--tmax", repr(_FIRST_WIDE_TMAX), id="--tmax-first-past-cap"),
+    ("--tmax", "1e300"),
+])
 def test_spectral_rejects_bad_frequency_window(tmp_path, capsys, flag, value):
     outdir = tmp_path / "sp"
     assert run("spectral", flag, value, "--grid", "129", "--n", "2", "--outdir", str(outdir)) == 2
@@ -342,14 +355,15 @@ def test_console_script_runs():
 
 
 def test_type3_iterate_loads_no_scipy(tmp_path):
-    # scipy is imported only where its functions are called: Types I and II,
-    # the normal CDF and spectral re-gridding
+    # scipy is imported only where its functions are called: Types I and II
+    # and the normal CDF
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     probe = ("import sys; from derangetropy.cli import main; {}"
              "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))")
-    for call in ("", "assert main(['iterate', '--grid', '129', '--n', '2', '--out', 't.csv']) == 0; "):
+    for call in ("", "assert main(['iterate', '--grid', '129', '--n', '2', '--out', 't.csv']) == 0; ",
+                 "assert main(['spectral', '--dist', 'uniform', '--kind', 'type3', '--grid', '129']) == 0; "):
         proc = subprocess.run([sys.executable, "-c", probe.format(call)],
                               capture_output=True, text=True, env=env, cwd=tmp_path)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "[]\n"
-    assert (tmp_path / "t.csv").exists()
+    assert (tmp_path / "t.csv").exists() and (tmp_path / "spectral" / "diagnostics.csv").exists()

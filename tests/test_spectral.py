@@ -24,9 +24,13 @@ from derangetropy.grid import mean_and_variance, simpson_weights
 from derangetropy.spectral import (
     DEFAULT_SUP_TMAX,
     DEFAULT_TSTEP,
+    MAX_HALF_COUNT,
+    RESCALE_WINDOW_SIGMAS,
     _cf_samples,
     _frequencies,
+    _regrid,
     _rescaled_sup_distance,
+    window_half_count,
 )
 
 import oracles
@@ -37,9 +41,13 @@ FAMILIES = ("uniform", "normal", "exponential", "semicircle", "arcsine")
 # --- CharFunction container --------------------------------------------------
 
 
-def test_char_function_requires_commensurate_tstep():
+@pytest.mark.parametrize("tstep", [1.0, math.inf, math.tau * 1e10],
+                         ids=["non-integer", "infinite", "zero-shifts-per-turn"])
+def test_char_function_requires_commensurate_tstep(tstep):
+    # 2*pi/tstep must be an integer >= 1: at 0 shifts per turn t_operator
+    # would slice nothing and fail on mismatched shapes
     with pytest.raises(ValueError):
-        CharFunction(1.0, np.ones(21, dtype=complex))
+        CharFunction(tstep, np.ones(21, dtype=complex))
 
 
 def test_char_function_requires_matching_count():
@@ -63,6 +71,17 @@ def test_char_function_frequency_grid():
 def test_char_function_rejects_bad_window(kwargs):
     with pytest.raises(ValueError, match="finite and positive"):
         char_function(from_analytic(DistributionSpec("uniform"), 129), **kwargs)
+
+
+def test_window_half_count_is_capped():
+    # checked before anything is allocated, so no window near the cap is built
+    top = MAX_HALF_COUNT * DEFAULT_TSTEP
+    assert window_half_count(DEFAULT_TSTEP, top) == MAX_HALF_COUNT
+    for tmax in ((MAX_HALF_COUNT + 1) * DEFAULT_TSTEP, 1e300):
+        with pytest.raises(ValueError, match="exceeds the cap"):
+            window_half_count(DEFAULT_TSTEP, tmax)
+        with pytest.raises(ValueError, match="exceeds the cap"):
+            char_function(from_analytic(DistributionSpec("uniform"), 129), tmax=tmax)
 
 
 # --- quadrature CFs -----------------------------------------------------------
@@ -281,7 +300,24 @@ def test_convergence_holds_attractor_to_sixty_steps(ref_grids, family):
     d = gaussian_convergence(TransformKind.TYPE3, ref_grids[family], 60)
     assert d.steps == 60
     gaps = np.abs(d.sup_distance[30:] - oracles.ATTRACTOR_SUP_DISTANCE)
-    assert np.max(gaps) <= 1e-10
+    assert np.max(gaps) <= 2.5e-11
+
+
+@pytest.mark.parametrize("mean, sd", [(0.1, 0.05), (0.5, 0.1)], ids=["inside", "to-upper-end"])
+def test_regrid_reproduces_degree_five_polynomial(mean, sd):
+    # the re-grid interpolates through six nodes, so a quintic density comes
+    # back to rounding, on a window inside the old grid and on one reaching
+    # its upper end (where the stencil moves inward)
+    def quintic(x):
+        return 3.0 + x - x**2 + 0.5 * x**3 + 0.25 * x**4 - 0.2 * x**5
+
+    g = GridDensity(-1.0, 1.0, quintic(np.linspace(-1.0, 1.0, 129)))
+    r = _regrid(g, mean, sd)
+    assert r.lo == max(-1.0 - mean, -RESCALE_WINDOW_SIGMAS * sd)
+    assert r.hi == min(1.0 - mean, RESCALE_WINDOW_SIGMAS * sd)
+    expected = quintic(r.xs + mean)
+    expected = expected / float(np.dot(simpson_weights(r.n, r.step), expected))
+    assert np.max(np.abs(r.values - expected) / expected) <= 1e-13
 
 
 def test_convergence_names_the_step_whose_variance_is_not_normal():
