@@ -125,9 +125,8 @@ def cdf(spec: DistributionSpec, x):
         a, b = p["a"], p["b"]
         out = np.clip((x - a) / (b - a), 0.0, 1.0)
     elif spec.family == "normal":
-        from scipy.special import ndtr  # deferred: scipy.special takes ~0.3 s to import
-
-        out = ndtr((x - p["mean"]) / p["stddev"])
+        # erfc, not 1 + erf, keeps relative precision in the lower tail
+        out = 0.5 * np.vectorize(math.erfc, otypes=[float])((p["mean"] - x) / p["stddev"] * math.sqrt(0.5))
     elif spec.family == "exponential":
         out = np.where(x > 0, -np.expm1(-p["rate"] * np.maximum(x, 0.0)), 0.0)
     elif spec.family == "semicircle":

@@ -1,10 +1,11 @@
 """Independent oracles for the test suite.
 
 Everything here is computed from closed forms or from the scalar conjugacy
-map below, using code paths disjoint from the package under test (math.erf
-instead of scipy.special.ndtr, scipy.integrate.quad instead of the package
-Simpson rule). Frozen constants carry the value they were derived to so a
-regression in the package cannot silently move the goalposts.
+map below, using code paths disjoint from the package under test
+(scipy.special.ndtr instead of the package's math.erfc, one math.log per
+element instead of numpy's vectorised log, scipy.integrate.quad instead of
+the package Simpson rule). Frozen constants carry the value they were derived
+to so a regression in the package cannot silently move the goalposts.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import math
 import numpy as np
 from scipy.integrate import quad
 from scipy.optimize import brentq
-from scipy.special import zeta
+from scipy.special import ndtr, zeta
 
 TAU = 2.0 * math.pi
 
@@ -139,11 +140,14 @@ UNIFORM_STEP1_VARIANCE = 1.0 / 12.0 - 1.0 / (2.0 * math.pi**2)
 # --- kernel normalization constants -----------------------------------------
 
 
+def bernoulli_entropy(p: float) -> float:
+    """-p ln p - (1-p) ln(1-p) in nats at one p in [0, 1], with 0 ln 0 = 0."""
+    return -sum(v * math.log(v) for v in (p, 1.0 - p) if v > 0.0)
+
+
 def _entropy_weight(z: float) -> float:
-    # z^z (1-z)^(1-z); limits at 0 and 1 are both 1
-    if z <= 0.0 or z >= 1.0:
-        return 1.0
-    return math.exp(z * math.log(z) + (1.0 - z) * math.log(1.0 - z))
+    # z^z (1-z)^(1-z) = exp(-H(z)); limits at 0 and 1 are both 1
+    return math.exp(-bernoulli_entropy(z))
 
 
 def quad_type1_constant() -> float:
@@ -184,8 +188,7 @@ def uniform_cdf(x, a=0.0, b=1.0):
 
 
 def normal_cdf(x, mean=0.0, stddev=1.0):
-    z = (np.asarray(x, dtype=float) - mean) / (stddev * math.sqrt(2.0))
-    return 0.5 * (1.0 + np.vectorize(math.erf)(z))
+    return ndtr((np.asarray(x, dtype=float) - mean) / stddev)
 
 
 def exponential_cdf(x, rate=1.0):

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -354,16 +355,38 @@ def test_console_script_runs():
     assert "dlab" in proc.stdout
 
 
-def test_type3_iterate_loads_no_scipy(tmp_path):
-    # scipy is imported only where its functions are called: Types I and II
-    # and the normal CDF
+def test_dlab_loads_no_scipy(tmp_path):
+    # numpy is the package's only runtime dependency. Each step records main's
+    # exit code and then the scipy modules loaded so far; modules are never
+    # unloaded, so a leak shows from the step that caused it onwards.
+    calls = [
+        ["iterate", "--grid", "129", "--n", "2", "--out", "t.csv"],
+        ["spectral", "--dist", "uniform", "--kind", "type3", "--grid", "129"],
+        ["transform", "--kind", "type1", "--grid", "129", "--out", "t1.csv"],
+        ["iterate", "--dist", "normal", "--kind", "type2", "--grid", "129", "--n", "2", "--out", "t2.csv"],
+        ["verify", "--suite", "all", "--out", "report.json"],
+        ["spectral", "--dist", "normal", "--kind", "type1", "--grid", "129", "--outdir", "s1"],
+        ["figures", "--which", "fig1", "--grid", "129"],
+    ]
+    probe = textwrap.dedent("""
+        import json, sys
+        def scipy_modules():
+            return sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy')
+        import derangetropy
+        loaded = {'import derangetropy': scipy_modules()}
+        from derangetropy.cli import main
+        loaded['import derangetropy.cli'] = scipy_modules()
+        for argv in json.loads(sys.argv[1]):
+            loaded[' '.join(argv)] = [main(argv), *scipy_modules()]
+        print(json.dumps(loaded))
+    """)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
-    probe = ("import sys; from derangetropy.cli import main; {}"
-             "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))")
-    for call in ("", "assert main(['iterate', '--grid', '129', '--n', '2', '--out', 't.csv']) == 0; ",
-                 "assert main(['spectral', '--dist', 'uniform', '--kind', 'type3', '--grid', '129']) == 0; "):
-        proc = subprocess.run([sys.executable, "-c", probe.format(call)],
-                              capture_output=True, text=True, env=env, cwd=tmp_path)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == "[]\n"
-    assert (tmp_path / "t.csv").exists() and (tmp_path / "spectral" / "diagnostics.csv").exists()
+    proc = subprocess.run([sys.executable, "-c", probe, json.dumps(calls)],
+                          capture_output=True, text=True, env=env, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert loaded == {"import derangetropy": [], "import derangetropy.cli": [],
+                      **{" ".join(argv): [0] for argv in calls}}
+    for out in ("t.csv", "spectral/diagnostics.csv", "t1.csv", "t2.csv", "report.json",
+                "s1/diagnostics.csv", "fig1/uniform.csv"):
+        assert (tmp_path / out).exists(), out

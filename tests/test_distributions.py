@@ -117,6 +117,14 @@ def test_normal_cdf_property(x):
     assert cdf(spec, x) == pytest.approx(0.5 * (1.0 + math.erf(x / math.sqrt(2.0))), abs=1e-14)
 
 
+def test_normal_cdf_lower_tail_relative():
+    # 1 + erf(z) cancels to nothing in the lower tail; erfc keeps every digit
+    spec = DistributionSpec("normal", {"mean": 0.3, "stddev": 1.7})
+    xs = 0.3 + 1.7 * np.linspace(-8.0, -1.0, 701)
+    want = oracles.normal_cdf(xs, 0.3, 1.7)
+    assert np.max(np.abs(cdf(spec, xs) - want) / want) < 1e-13
+
+
 @pytest.mark.parametrize("family", FAMILIES)
 def test_median_closed_form(family, ref_specs):
     spec = ref_specs[family]

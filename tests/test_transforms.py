@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -53,6 +54,27 @@ def test_bernoulli_entropy_values():
         bernoulli_entropy(-0.01)
     with pytest.raises(ValueError):
         bernoulli_entropy(1.01)
+
+
+@pytest.mark.parametrize("bad", [math.nan, np.array([0.25, math.nan, 0.75])])
+def test_nan_rejected_where_entropy_input_enters(bad):
+    with pytest.raises(ValueError):
+        bernoulli_entropy(bad)
+    for kind in KINDS:
+        with pytest.raises(ValueError):
+            kernel(kind, bad)
+
+
+def test_bernoulli_entropy_matches_scalar_oracle():
+    p = np.array([0.0, 5e-324, 1e-300, 0.25, 0.5, 1.0 - 2.0**-53, 1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = bernoulli_entropy(p)
+    want = np.array([oracles.bernoulli_entropy(v) for v in p])
+    # near 0 the kernel exp(s*H) feels H's absolute error as its own relative
+    # error, so 4.5e-16 there is about 2 ulps of the kernel
+    tol = np.where(want < 2.0**-50, 4.5e-16, 2.0 * np.spacing(want))
+    assert np.all(np.abs(got - want) <= tol)
 
 
 @given(z=st.floats(min_value=0.0, max_value=1.0))

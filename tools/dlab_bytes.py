@@ -11,7 +11,7 @@ lines, so
     diff old.txt new.txt
 
 checks that a change keeps the output of `dlab` byte for byte. Standard
-library only; the package itself needs numpy and scipy.
+library only; the package itself needs numpy.
 """
 
 from __future__ import annotations
