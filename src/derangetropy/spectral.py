@@ -43,8 +43,10 @@ tails are light the diagnostics do not depend on when the re-gridding happens.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -262,10 +264,13 @@ def _regrid(g: GridDensity, mean: float, sd: float) -> GridDensity:
     hi = min(g.hi - mean, RESCALE_WINDOW_SIGMAS * sd)
     u = (np.linspace(lo, hi, g.n) - (g.lo - mean)) / g.step  # new nodes in old steps
     first = np.clip(np.floor(u).astype(int) - 2, 0, g.n - 6)  # stencil moved inward at the ends
-    k = np.arange(6)
-    d = (u - first)[:, None] - k
-    w = np.stack([np.prod(d[:, k != j], axis=1) / np.prod(j - k[k != j]) for j in k], axis=1)
-    vals = np.clip(np.sum(w * g.values[first[:, None] + k], axis=1), 0.0, None)
+    d = [u - first - i for i in range(6)]  # offsets from the six stencil nodes, in old steps
+    terms = []
+    for j in range(6):
+        others = [i for i in range(6) if i != j]
+        w = reduce(operator.mul, [d[i] for i in others]) / math.prod(j - i for i in others)
+        terms.append(w * g.values[first + j])
+    vals = np.clip(reduce(operator.add, terms), 0.0, None)
     return GridDensity(lo, hi, vals / simpson(vals, lo, hi))
 
 
