@@ -267,6 +267,20 @@ def exact_nodes(lo: float, step: float, n: int) -> np.ndarray:
     return np.longdouble(lo) + np.arange(n, dtype=np.longdouble) * np.longdouble(step)
 
 
+def smallest_5_smooth_at_least(m: int) -> int:
+    """The first integer >= m with no prime factor above 5, by trial division
+    of m, m + 1, ... in turn."""
+    x = m
+    while True:
+        rest = x
+        for p in (2, 3, 5):
+            while rest % p == 0:
+                rest //= p
+        if rest == 1:
+            return x
+        x += 1
+
+
 def cf_direct(xs, weighted, ts):
     """sum_j weighted_j exp(i t x_j) at each t, by the dense O(len(ts) * n) sum.
 

@@ -27,6 +27,7 @@ from derangetropy.spectral import (
     MAX_HALF_COUNT,
     RESCALE_WINDOW_SIGMAS,
     _cf_samples,
+    _fft_length,
     _frequencies,
     _regrid,
     _rescaled_sup_distance,
@@ -139,10 +140,7 @@ def _sampled(k: int) -> np.ndarray:
     return np.unique(np.rint(np.linspace(-k, k, min(2 * k + 1, 51))).astype(int)) + k
 
 
-@pytest.mark.parametrize("family", FAMILIES)
-@pytest.mark.parametrize("k", [0, 1, 51, 204, 2048])
-def test_cf_samples_match_dense_sum(family, k, ref_grids):
-    g = ref_grids[family]
+def _assert_cf_samples_match_dense_sum(g: GridDensity, k: int) -> None:
     weighted = simpson_weights(g.n, g.step) * g.values
     got = _cf_samples(weighted, g.lo, g.step, DEFAULT_TSTEP, k)
     assert got.shape == (2 * k + 1,)
@@ -150,6 +148,26 @@ def test_cf_samples_match_dense_sum(family, k, ref_grids):
     ts = _frequencies(k, DEFAULT_TSTEP)[idx]
     want = oracles.cf_direct(oracles.exact_nodes(g.lo, g.step, g.n), weighted, ts)
     assert np.max(np.abs(got[idx] - want)) <= 1e-13
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("k", [0, 1, 51, 204, 2048])
+def test_cf_samples_match_dense_sum(family, k, ref_grids):
+    _assert_cf_samples_match_dense_sum(ref_grids[family], k)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_cf_samples_match_dense_sum_at_length_without_factor_two(family, ref_specs):
+    g = from_analytic(ref_specs[family], 16385)
+    assert _fft_length(g.n + 2 * 50) == 16875  # 3**3 * 5**4
+    _assert_cf_samples_match_dense_sum(g, 50)
+
+
+def test_fft_length_is_smallest_5_smooth_at_least_m():
+    for m in range(1, 5001):
+        got = _fft_length(m)
+        assert got == oracles.smallest_5_smooth_at_least(m), m
+        assert got <= 1 << (m - 1).bit_length(), m
 
 
 def _narrow_ramp() -> GridDensity:
