@@ -42,13 +42,19 @@ def simpson_weights(n: int, step: float) -> np.ndarray:
     return w * (step / 3.0)
 
 
+def _weighted_sum(w: np.ndarray, v: np.ndarray) -> float:
+    """sum_j w_j v_j by numpy's pairwise summation on one thread. np.dot
+    would hand it to BLAS, whose threads split long sums at points that
+    depend on the thread count, and so would change the last bits."""
+    return float(np.add.reduce(w * v))
+
+
 def simpson(values: np.ndarray, lo: float, hi: float) -> float:
     """Composite Simpson integral of tabulated values on [lo, hi]."""
     values = np.asarray(values, dtype=float)
     n = values.shape[0]
     step = (hi - lo) / (n - 1)
-    # np.dot reduces pairwise, so the sum is reproducible for fixed input.
-    return float(np.dot(simpson_weights(n, step), values))
+    return _weighted_sum(simpson_weights(n, step), values)
 
 
 def cumulative_simpson(values: np.ndarray, step: float) -> np.ndarray:
@@ -157,16 +163,16 @@ def moment(g: GridDensity, k: int) -> float:
     if k not in (1, 2):
         raise ValueError(f"moment order must be 1 or 2, got {k}")
     x = g.xs
-    return float(np.dot(simpson_weights(g.n, g.step), x**k * g.values))
+    return _weighted_sum(simpson_weights(g.n, g.step), x**k * g.values)
 
 
 def mean_and_variance(g: GridDensity) -> tuple[float, float]:
     """Mean and centered variance by Simpson on the grid."""
     w = simpson_weights(g.n, g.step) * g.values
     x = g.xs
-    mean = float(np.dot(w, x))
+    mean = _weighted_sum(w, x)
     # center first so the quadratic does not cancel catastrophically
-    return mean, float(np.dot(w, (x - mean) ** 2))
+    return mean, _weighted_sum(w, (x - mean) ** 2)
 
 
 def variance(g: GridDensity) -> float:

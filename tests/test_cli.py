@@ -390,3 +390,26 @@ def test_dlab_loads_no_scipy(tmp_path):
     for out in ("t.csv", "spectral/diagnostics.csv", "t1.csv", "t2.csv", "report.json",
                 "s1/diagnostics.csv", "fig1/uniform.csv"):
         assert (tmp_path / out).exists(), out
+
+
+def test_outputs_do_not_depend_on_blas_thread_count(tmp_path):
+    # the quadrature sums must not go through BLAS, whose threads split long
+    # sums at points that depend on the thread count
+    calls = [
+        ["verify", "--suite", "constants", "--out", "report.json"],
+        ["iterate", "--grid", "16385", "--n", "3", "--out", "trace.csv"],
+    ]
+    outputs = {}
+    for threads in ("1", "2"):
+        cwd = tmp_path / threads
+        cwd.mkdir()
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path),
+               "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
+        for argv in calls:
+            proc = subprocess.run([sys.executable, "-m", "derangetropy.cli", *argv],
+                                  capture_output=True, env=env, cwd=cwd)
+            assert proc.returncode == 0, proc.stderr
+        outputs[threads] = {p.name: p.read_bytes() for p in sorted(cwd.iterdir())}
+    assert sorted(outputs["1"]) == ["report.json", "trace.csv", "trace.diagnostics.json"]
+    for name, data in outputs["1"].items():
+        assert outputs["2"][name] == data, name
