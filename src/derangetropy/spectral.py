@@ -15,12 +15,13 @@ Bluestein transform on numpy FFTs (Bluestein 1970; Rabiner, Schafer & Rader
 instead of the O(nK) dense sum. The FFTs run at the smallest length
 2^a 3^b 5^c of at least n + 2K, which numpy's mixed-radix FFT takes about as
 fast per point as a power of two, and which can be up to half as long: 16875
-points instead of 32768 for 16385 nodes and K = 50. The grid enters as its first node, nominal
-step and node count, never as differences of nodes: on a bump 1e-9 wide
-those are off the step by 2e-4 relative. Against a long-double dense sum on
-the nodes lo + j*step, the error is at most 4e-15 on the five default
-families at n = 4097 over the default 4097-frequency window, the exponential
-being worst; the double dense sum itself is within 4e-15 of that reference.
+points instead of 32768 for 16385 nodes and K = 50. The grid enters as its
+first node, nominal step and node count, never as differences of nodes: on a
+bump 1e-9 wide those are off the step by 2e-4 relative. Against a long-double
+dense sum on the nodes lo + j*step, the error is at most 4e-15 on the five
+default families at n = 4097 over the default 4097-frequency window, the
+exponential being worst; the double dense sum itself is within 4e-15 of that
+reference.
 
 Iterating the phase-modulated transform contracts the density onto its median
 (the variance shrinks roughly fourfold per step), so a fixed grid would stop

@@ -43,7 +43,8 @@ MATRIX: list[tuple[str, list[str]]] = [
     ("verify-csv", ["verify", "--suite", "all", "--format", "csv", "--out", "{out}/report.csv"]),
     *((f"spectral-{kind}", ["spectral", "--kind", kind, "--outdir", "{out}"]) for kind in ("type3", "type1", "type2")),
     # 16385 nodes put the Bluestein FFTs at 16875 = 3**3 * 5**4 points, a length with no factor 2
-    ("spectral-uniform-grid16385", ["spectral", "--dist", "uniform", "--grid", "16385", "--outdir", "{out}"]),
+    ("spectral-uniform-grid16385", ["spectral", "--dist", "uniform", "--grid", "16385",
+                                    "--outdir", "{out}"]),
 ]
 
 
