@@ -6,10 +6,10 @@ identical flags produce byte-identical bytes. Exit codes: 0 success, 1 a
 verification check failed (or an `iterate` step's mass defect passed the
 registry's gate, after both files are written), 2 usage error (or an `iterate`
 step that overflows or has a non-finite mean, variance or median, a `spectral`
-step whose variance is not a positive normal float, or a `spectral` --tmax or
---tstep-div out of range, before any file is written; each CF window is capped
-at spectral.MAX_HALF_COUNT frequencies per side),
-3 I/O error. The checks themselves live in `derangetropy.checks`; `verify` formats them.
+step whose variance is not a positive normal float, or a `spectral` --tstep-div
+whose comparison window |t| <= --tmax or CF dumps' window |t| <= 64*pi
+spectral.window_half_count rejects, before any file is written), 3 I/O error.
+The checks themselves live in `derangetropy.checks`; `verify` formats them.
 """
 
 from __future__ import annotations
@@ -60,16 +60,9 @@ def _parse_params(raw: str | None) -> dict[str, float]:
     return out
 
 
-def _build_spec(args: argparse.Namespace) -> DistributionSpec:
+def _build_grid(family: str, params: str | None, n: int) -> GridDensity:
     try:
-        return DistributionSpec(args.dist, _parse_params(args.params))
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-
-
-def _build_grid(spec: DistributionSpec, grid_n: int) -> GridDensity:
-    try:
-        return from_analytic(spec, grid_n)
+        return from_analytic(DistributionSpec(family, _parse_params(params)), n)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
@@ -83,8 +76,7 @@ def _write_text(path: str | None, text: str) -> None:
 
 
 def cmd_transform(args: argparse.Namespace) -> int:
-    spec = _build_spec(args)
-    g = _build_grid(spec, args.grid)
+    g = _build_grid(args.dist, args.params, args.grid)
     out = transform(TransformKind(args.kind), g)
     table = csv_rows(g.xs, g.values, g.cdf, out.values)
     _write_text(args.out, "x,f,F,transformed\n" + table)
@@ -96,8 +88,7 @@ def cmd_iterate(args: argparse.Namespace) -> int:
         raise UsageError(f"iterate requires --n >= 1, got {args.n}")
     if args.out is None:
         raise UsageError("iterate requires --out (a diagnostics sidecar is written next to it)")
-    spec = _build_spec(args)
-    g = _build_grid(spec, args.grid)
+    g = _build_grid(args.dist, args.params, args.grid)
     try:
         trace = iterate(TransformKind(args.kind), g, args.n)
     except ValueError as exc:
@@ -137,18 +128,14 @@ def cmd_spectral(args: argparse.Namespace) -> int:
         raise UsageError(f"spectral requires --n >= 0, got {args.n}")
     if args.tstep_div < 1:
         raise UsageError(f"spectral requires --tstep-div >= 1, got {args.tstep_div}")
-    if not 0 < args.tmax < math.inf:
-        raise UsageError(f"spectral requires a finite --tmax > 0, got {args.tmax}")
-    # the CF dumps span |t| <= DEFAULT_TMAX = 64*pi, a window of 32*D frequencies per side
-    if 32 * args.tstep_div > spectral.MAX_HALF_COUNT:
-        raise UsageError(f"spectral requires --tstep-div <= {spectral.MAX_HALF_COUNT // 32}, got {args.tstep_div}")
-    tstep = math.tau / args.tstep_div
-    try:
-        spectral.window_half_count(tstep, args.tmax)
-    except ValueError as exc:
-        raise UsageError(f"spectral --tmax {args.tmax} with --tstep-div {args.tstep_div}: {exc}") from exc
-    spec = _build_spec(args)
-    g = _build_grid(spec, args.grid)
+    for window, tmax in ((f"the comparison window --tmax {args.tmax}", args.tmax),
+                         ("the CF dumps' window |t| <= 64*pi", spectral.DEFAULT_TMAX)):
+        try:
+            tstep = math.tau / args.tstep_div
+            spectral.window_half_count(tstep, tmax)
+        except (OverflowError, ValueError) as exc:
+            raise UsageError(f"spectral --tstep-div {args.tstep_div} with {window}: {exc}") from exc
+    g = _build_grid(args.dist, args.params, args.grid)
     try:
         diag = spectral.gaussian_convergence(TransformKind(args.kind), g, args.n, tmax=args.tmax, tstep=tstep)
     except ValueError as exc:
@@ -173,8 +160,8 @@ def cmd_spectral(args: argparse.Namespace) -> int:
 def cmd_figures(args: argparse.Namespace) -> int:
     outdir = args.outdir if args.outdir is not None else args.which
     os.makedirs(outdir, exist_ok=True)
-    for spec in map(DistributionSpec, FAMILIES):
-        g = _build_grid(spec, args.grid)
+    for family in FAMILIES:
+        g = _build_grid(family, None, args.grid)
         if args.which == "fig1":
             header = "x,f,rho,tau\n"
             a = transform(TransformKind.TYPE1, g)
@@ -184,7 +171,7 @@ def cmd_figures(args: argparse.Namespace) -> int:
             a = transform(TransformKind.TYPE3, g)
             b = transform(TransformKind.TYPE3, a)
         table = csv_rows(g.xs, g.values, a.values, b.values)
-        _write_text(os.path.join(outdir, f"{spec.family}.csv"), header + table)
+        _write_text(os.path.join(outdir, f"{family}.csv"), header + table)
     return EXIT_OK
 
 
@@ -195,10 +182,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add_common(p: argparse.ArgumentParser, *, kind_default: str = "type3") -> None:
+    def add_common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--dist", default="uniform", choices=FAMILIES)
         p.add_argument("--params", default=None, help="family parameters as k=v,...")
-        p.add_argument("--kind", default=kind_default, choices=[k.value for k in TransformKind])
+        p.add_argument("--kind", default="type3", choices=[k.value for k in TransformKind])
         p.add_argument("--grid", type=int, default=4097, metavar="N")
 
     p = sub.add_parser("transform", help="write x,f,F,transformed for one application")
@@ -225,8 +212,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="half-width of the Gaussian-comparison frequency window;"
                         f" finite, > 0 and at most {spectral.MAX_HALF_COUNT} steps of tstep")
     p.add_argument("--tstep-div", type=int, default=64, metavar="D",
-                   help=f"tstep = 2*pi/D, 1 <= D <= {spectral.MAX_HALF_COUNT // 32}"
-                        f" (the CF dumps span |t| <= 64*pi, 32*D steps)")
+                   help="tstep = 2*pi/D, D >= 1; the CF dumps span |t| <= 64*pi,"
+                        f" which must also be at most {spectral.MAX_HALF_COUNT} steps of tstep")
     p.add_argument("--outdir", default=None)
     p.set_defaults(func=cmd_spectral)
 

@@ -74,6 +74,8 @@ def cumulative_simpson(values: np.ndarray, step: float) -> np.ndarray:
 class GridDensity:
     """Nonnegative values sampled on n uniform nodes over [lo, hi].
 
+    The nodes np.linspace(lo, hi, n) must be strictly increasing floats: this
+    rejects reversed, infinite, NaN or overflowing bounds, and collapsed nodes.
     Grids compare and hash by identity: equality of sampled arrays is a
     numerical question that callers answer with their own tolerance.
     """
@@ -85,8 +87,10 @@ class GridDensity:
     def __post_init__(self) -> None:
         vals = np.asarray(self.values, dtype=float)
         _check_node_count(vals.shape[0])
-        if not self.hi > self.lo:
-            raise ValueError(f"need hi > lo, got [{self.lo}, {self.hi}]")
+        with np.errstate(over="ignore", invalid="ignore"):  # bad bounds give NaN nodes, which fail the check
+            x = np.linspace(self.lo, self.hi, vals.shape[0])
+            if not (x[1:] > x[:-1]).all():
+                raise ValueError(f"[{self.lo!r}, {self.hi!r}] does not hold {x.size} strictly increasing float nodes")
         if not np.all(np.isfinite(vals)) or np.any(vals < 0):
             raise ValueError("density values must be finite and nonnegative")
         vals = vals.copy()
@@ -129,8 +133,8 @@ def from_analytic(spec: DistributionSpec, n: int) -> GridDensity:
 
     Nodes include the endpoints of the effective support except for families
     with a divergent endpoint density, where they are inset by half a step.
-    Raises ValueError when the nodes are not strictly increasing in floating
-    point or the grid's CDF cannot be built.
+    Raises ValueError, naming the parameters, when GridDensity rejects the
+    nodes or values or the grid's CDF cannot be built.
     """
     _check_node_count(n)
     a, b = effective_support(spec)
@@ -139,17 +143,13 @@ def from_analytic(spec: DistributionSpec, n: int) -> GridDensity:
         lo, hi = a + half, b - half
     else:
         lo, hi = a, b
-    x = np.linspace(lo, hi, n)
-    if not np.all(np.diff(x) > 0):
-        raise ValueError(f"{spec.family} parameters {spec.params} do not give {n} strictly"
-                         f" increasing float nodes in [{lo!r}, {hi!r}]")
-    f = pdf(spec, x)
-    mass = simpson(f, lo, hi)
-    g = GridDensity(lo, hi, f / mass)
+    with np.errstate(all="ignore"):  # bad nodes, an overflow or a zero mass fail GridDensity below
+        f = pdf(spec, np.linspace(lo, hi, n))
+        f = f / simpson(f, lo, hi)
     try:
-        g.cdf
+        g = GridDensity(lo, hi, f)
+        g.cdf  # the pdf can be finite where the cumulative rule's panel sums overflow
     except ValueError as exc:
-        # the pdf can be finite where the cumulative rule's panel sums overflow
         raise ValueError(f"{spec.family} parameters {spec.params} are out of range: {exc}") from exc
     return g
 
@@ -188,13 +188,10 @@ def median_of(g: GridDensity) -> float:
     interpolation of F is only O(h^2), which is visible in refinement checks.
     """
     F, xs = g.cdf, g.xs
+    # F[0] is exactly 0 and F[-1] exactly 1, so 1 <= i < n and F[i-1] < 1/2 <= F[i]
     i = int(np.searchsorted(F, 0.5))
-    if i == 0:
-        return float(xs[0])
     x0, x1 = float(xs[i - 1]), float(xs[i])
     y0, y1 = float(F[i - 1]), float(F[i])
-    if y1 == y0:
-        return x0
     h = x1 - x0
     # solve for u = t/s with s a power of two near h: the rescaling is exact,
     # so the root is unchanged, and f*s stays finite where f*f would overflow
@@ -205,11 +202,12 @@ def median_of(g: GridDensity) -> float:
     b = f0
     cc = y0 - 0.5
     disc = b * b - 4.0 * a * cc
-    if disc >= 0.0 and (abs(a) * hs > 1e-14 * max(b, 1e-300 * s)):
+    if disc > 0.0 and (abs(a) * hs > 1e-14 * max(b, 1e-300 * s)):
         # stable quadratic formula; the root moving continuously from the
-        # a -> 0 limit -c/b is the one built from -b - sign(b)*sqrt(disc)
+        # a -> 0 limit -c/b is the one built from -b - sign(b)*sqrt(disc);
+        # disc > 0 keeps q nonzero (a tiny 4ac can underflow to disc = 0 at b = 0)
         q = -0.5 * (b + math.copysign(math.sqrt(disc), b))
-        for u in ((cc / q) if q != 0.0 else math.inf, (q / a)):
+        for u in (cc / q, q / a):
             if -1e-12 * hs <= u <= hs * (1.0 + 1e-12):
                 return x0 + min(max(u, 0.0), hs) * s
     return x0 + (0.5 - y0) * h / (y1 - y0)

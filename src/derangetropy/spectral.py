@@ -183,11 +183,8 @@ def _cf_samples(weighted: np.ndarray, lo: float, step: float, tstep: float, k: i
     return conv[(m + c) % size] * chirp[np.abs(m)] * np.exp(1j * (m * tstep) * (lo + c * step))
 
 
-def cf_of_values(g: GridDensity, values: np.ndarray, tstep: float, tmax: float,
-                  phase: np.ndarray | None = None) -> CharFunction:
+def cf_of_values(g: GridDensity, values: np.ndarray, tstep: float, tmax: float) -> CharFunction:
     weighted = simpson_weights(g.n, g.step) * values
-    if phase is not None:
-        weighted = weighted * phase
     return CharFunction(tstep, _cf_samples(weighted, g.lo, g.step, tstep, window_half_count(tstep, tmax)))
 
 
@@ -201,8 +198,7 @@ def modulated_char(g: GridDensity, sign: int, tstep: float = DEFAULT_TSTEP,
     """CF with the extra phase exp(sign * i * 2*pi * F(x)) in the integrand."""
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
-    phase = np.exp(1j * sign * math.tau * g.cdf)
-    return cf_of_values(g, g.values, tstep, tmax, phase=phase)
+    return cf_of_values(g, g.values * np.exp(1j * sign * math.tau * g.cdf), tstep, tmax)
 
 
 def type3_cf_identity_gap(g: GridDensity, tstep: float = DEFAULT_TSTEP,
@@ -222,26 +218,17 @@ def type3_cf_identity_gap(g: GridDensity, tstep: float = DEFAULT_TSTEP,
     return float(np.max(np.abs(phi_nu.values - combo)))
 
 
-def _sinc_factor(s):
-    """(exp(is) - 1)/(is), with a series branch near the removable point."""
-    s = np.asarray(s, dtype=float)
-    out = np.empty(s.shape, dtype=complex)
-    small = np.abs(s) < 1e-4
-    sb = s[small]
-    out[small] = 1.0 + 1j * sb / 2.0 - sb**2 / 6.0 - 1j * sb**3 / 24.0 + sb**4 / 120.0
-    sl = s[~small]
-    out[~small] = (np.exp(1j * sl) - 1.0) / (1j * sl)
-    return out
-
-
 def uniform_closed_form_cf(t):
     """Closed-form CF of the phase-modulated transform of uniform(0, 1).
 
-    Removable points at t in {0, +-2*pi} take their limit values
-    (1, -1/2, -1/2) through the series branch of the sinc factor.
+    Each of its three terms (exp(is) - 1)/(is), at s = t and t +- 2*pi, is
+    written as sinc(s/pi) + i(s/2)sinc(s/(2pi))^2 with np.sinc: there is no
+    cancellation near s = 0, and the removable points t in {0, +-2*pi} take
+    exactly their limit values (1, -1/2, -1/2) through np.sinc's value at 0.
     """
-    t = np.asarray(t, dtype=float)
-    out = _sinc_factor(t) - 0.5 * (_sinc_factor(t + math.tau) + _sinc_factor(t - math.tau))
+    s = np.add.outer((0.0, math.tau, -math.tau), np.asarray(t, dtype=float))
+    factor = np.sinc(s / math.pi) + 0.5j * s * np.sinc(s / math.tau) ** 2
+    out = factor[0] - 0.5 * (factor[1] + factor[2])
     return out if out.ndim else complex(out)
 
 

@@ -309,6 +309,23 @@ def test_spectral_rejects_bad_frequency_window(tmp_path, capsys, flag, value):
     assert not outdir.exists()
 
 
+def test_spectral_dump_window_error_names_the_dump_window(tmp_path, capsys):
+    # the default --tmax fits; only the CF dumps' window |t| <= 64*pi is past the cap
+    assert run("spectral", "--tstep-div", str(_FIRST_WIDE_TSTEP_DIV), "--grid", "129", "--n", "2",
+               "--outdir", str(tmp_path / "sp")) == 2
+    err = capsys.readouterr().err
+    assert "CF dumps' window" in err
+    assert "--tmax" not in err
+
+
+def test_spectral_accepts_the_widest_comparison_window(tmp_path):
+    # the last accepted --tmax: exactly MAX_HALF_COUNT steps of the default tstep
+    outdir = tmp_path / "sp"
+    tmax = spectral.MAX_HALF_COUNT * math.tau / 64.0
+    assert run("spectral", "--tmax", repr(tmax), "--grid", "129", "--n", "0", "--outdir", str(outdir)) == 0
+    assert len(list(outdir.iterdir())) == 6
+
+
 # --- figures --------------------------------------------------------------------
 
 

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from derangetropy import (
@@ -131,8 +131,14 @@ def test_cdf_of_monotone_on_adversarial_density():
         (127, 0.0, 1.0, "too few"),
         (129, 1.0, 1.0, "empty interval"),
         (129, 2.0, 1.0, "reversed"),
+        (129, 1.0, 1.0 + 1e-14, "nodes collapse"),
+        (129, 0.0, math.inf, "infinite hi"),
+        (129, -math.inf, 0.0, "infinite lo"),
+        (129, -1e308, 1e308, "span overflows"),
+        (129, math.nan, 1.0, "nan lo"),
     ],
 )
+@pytest.mark.filterwarnings("error")
 def test_grid_density_shape_validation(n, lo, hi, bad):
     with pytest.raises(ValueError):
         GridDensity(lo, hi, np.ones(n))
@@ -259,6 +265,51 @@ def test_median_of_matches_closed_form(family, ref_grids):
     assert median_of(ref_grids[family]) == pytest.approx(
         oracles.MEDIANS[family], abs=tol
     )
+
+
+@st.composite
+def adversarial_densities(draw):
+    """(lo, hi, values) on 129 nodes: a span from 1e-300 to 1e300 carrying
+    either a few sparse spikes or a heavy-tailed bump up to 1e12 times
+    narrower than the span, at magnitudes up to 1e+-300 that keep the mass a
+    normal float."""
+    span_exp = draw(st.integers(-300, 300))
+    span = 10.0**span_exp
+    lo = draw(st.sampled_from([0.0, -0.5, -1.0, 2.0])) * span
+    value_exp = st.integers(max(-300, -290 - span_exp), min(300, 290 - span_exp))
+    if draw(st.booleans()):
+        vals = np.zeros(129)
+        for j in draw(st.lists(st.integers(0, 128), min_size=1, max_size=5, unique=True)):
+            vals[j] = draw(st.floats(1.0, 10.0)) * 10.0 ** draw(value_exp)
+    else:
+        u = np.linspace(0.0, 1.0, 129)
+        width = 10.0 ** draw(st.integers(-12, 0))
+        shape = (1.0 + ((u - draw(st.floats(0.0, 1.0))) / width) ** 2) ** -draw(st.sampled_from([0.5, 1.0, 2.0]))
+        vals = 10.0 ** draw(value_exp) * shape / shape.max()
+    return lo, lo + span, vals
+
+
+# spikes at odd nodes 3 and 101 put F[50] 4e-12 below 1/2, and node 51 holds
+# a subnormal: b = 0 there and 4ac underflows, so disc is exactly 0 and only
+# the linear fallback is left
+_UNDERFLOWING_DISCRIMINANT = np.zeros(129)
+_UNDERFLOWING_DISCRIMINANT[[3, 51, 101]] = [1e-303, 4e-314, 1e-303 * (1 + 1.6e-11) - 4e-314]
+
+
+@given(grid=adversarial_densities())
+@example(grid=(0.0, 128.0, _UNDERFLOWING_DISCRIMINANT))
+@settings(max_examples=300, deadline=None)
+def test_median_of_stays_in_its_bracket(grid):
+    # the facts median_of relies on instead of guards: F starts at exactly 0
+    # and ends at exactly 1, so the node i where F reaches 1/2 has a
+    # predecessor with F below 1/2, and the median lies between the two
+    g = GridDensity(*grid)
+    F, xs = g.cdf, g.xs
+    assert F[0] == 0.0 and F[-1] == 1.0
+    i = int(np.searchsorted(F, 0.5))
+    assert 1 <= i < g.n
+    assert F[i - 1] < 0.5 <= F[i]
+    assert xs[i - 1] <= median_of(g) <= xs[i]
 
 
 @pytest.mark.parametrize("family", ["uniform", "normal", "exponential", "semicircle"])

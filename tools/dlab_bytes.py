@@ -45,6 +45,12 @@ MATRIX: list[tuple[str, list[str]]] = [
     # 16385 nodes put the Bluestein FFTs at 16875 = 3**3 * 5**4 points, a length with no factor 2
     ("spectral-uniform-grid16385", ["spectral", "--dist", "uniform", "--grid", "16385",
                                     "--outdir", "{out}"]),
+    # usage errors (exit 2): only their stderr is fingerprinted
+    ("spectral-tstep-div-past-dump-cap", ["spectral", "--tstep-div", "8193", "--outdir", "{out}/sp"]),
+    ("spectral-tmax-inf", ["spectral", "--tmax", "inf", "--outdir", "{out}/sp"]),
+    ("transform-uniform-collapsed-nodes", ["transform", "--dist", "uniform", "--params",
+                                           "a=1e17,b=1.0000000000000002e17", "--grid", "129",
+                                           "--out", "{out}/t.csv"]),
 ]
 
 
