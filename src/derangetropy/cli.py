@@ -8,7 +8,8 @@ registry's gate, after both files are written), 2 usage error (or an `iterate`
 step that overflows or has a non-finite mean, variance or median, a `spectral`
 step whose variance is not a positive normal float, or a `spectral` --tstep-div
 whose comparison window |t| <= --tmax or CF dumps' window |t| <= 64*pi
-spectral.window_half_count rejects, before any file is written), 3 I/O error.
+spectral.window_half_count rejects, before any file is written), 3 I/O error
+(including an `iterate` trace whose forked writer process fails).
 The checks themselves live in `derangetropy.checks`; `verify` formats them.
 """
 
@@ -27,6 +28,7 @@ from . import checks, spectral
 from .distributions import FAMILIES, DistributionSpec
 from .grid import GridDensity, csv_rows, from_analytic
 from .transforms import (
+    IterationTrace,
     TransformKind,
     iterate,
     trace_csv,
@@ -83,6 +85,41 @@ def cmd_transform(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _write_trace(path: str, trace: IterationTrace) -> None:
+    """Write `trace_csv(trace)` to path, formatted by two processes at once.
+
+    A forked child formats the first ceil(steps / 2) steps and writes them
+    (header included) through the file description it shares with this
+    process, while this process formats the rest; it appends them once the
+    child has exited 0. The child leaves only through os._exit, so it never
+    unwinds its caller's stack or flushes its copies of Python's buffers.
+    """
+    split = (len(trace.steps) + 1) // 2
+    with open(path, "w", encoding="ascii", newline="\n") as fh:
+        pid = os.fork()
+        if pid == 0:
+            status = 1
+            try:
+                fh.write(trace_csv(trace, 0, split))
+                fh.flush()
+                status = 0
+            finally:
+                os._exit(status)
+        try:
+            rest = trace_csv(trace, split)
+        except BaseException:
+            import signal  # only on this path, so `import derangetropy.cli` loads no more modules
+
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            raise
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        if code != 0:
+            how = f"exited with status {code}" if code > 0 else f"was killed by signal {-code}"
+            raise OSError(f"the process writing steps 0-{split - 1} of {path} {how}")
+        fh.write(rest)
+
+
 def cmd_iterate(args: argparse.Namespace) -> int:
     if args.n < 1:
         raise UsageError(f"iterate requires --n >= 1, got {args.n}")
@@ -93,7 +130,7 @@ def cmd_iterate(args: argparse.Namespace) -> int:
         trace = iterate(TransformKind(args.kind), g, args.n)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    _write_text(args.out, trace_csv(trace))
+    _write_trace(args.out, trace)
     root, _ = os.path.splitext(args.out)
     _write_text(root + ".diagnostics.json", trace_diagnostics_json(trace))
     for k, d in enumerate(trace.diagnostics):

@@ -175,15 +175,19 @@ def iterate(kind: TransformKind, g: GridDensity, n: int) -> IterationTrace:
     return IterationTrace(kind, tuple(steps), tuple(diagnostics))
 
 
-def trace_csv(trace: IterationTrace) -> str:
-    """Long-format rows `step,x,f,F` across all steps, formatted one step at a time.
+def trace_csv(trace: IterationTrace, start: int = 0, stop: int | None = None) -> str:
+    """Long-format rows `step,x,f,F` of steps start .. stop-1 (all by default).
 
-    The x column is formatted once per trace and reused by every step on the
-    same (lo, hi, n) grid, which is every step `iterate` builds.
+    The header line comes first when start is 0, so the text of a trace split
+    at any step k >= 1 is `trace_csv(t, 0, k) + trace_csv(t, k)`. Steps are
+    formatted one at a time; the x column is formatted once per call and
+    reused by every step on the same (lo, hi, n) grid, which is every step
+    `iterate` builds.
     """
     x_cells: dict[tuple[str, str, int], list[str]] = {}
-    parts = ["step,x,f,F\n"]
-    for k, g in enumerate(trace.steps):
+    parts = ["step,x,f,F\n"] if start == 0 else []
+    for k in range(len(trace.steps))[start:stop]:
+        g = trace.steps[k]
         # repr, not ==, so grids ending at 0.0 and -0.0 do not share a column
         key = (repr(g.lo), repr(g.hi), g.n)
         if key not in x_cells:

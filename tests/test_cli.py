@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
 import textwrap
@@ -8,7 +9,7 @@ import textwrap
 import numpy as np
 import pytest
 
-from derangetropy import spectral
+from derangetropy import spectral, transforms
 from derangetropy.cli import main
 
 import oracles
@@ -186,6 +187,67 @@ def test_iterate_exponential_median_stays_near_ln2(tmp_path):
     rows = json.loads((tmp_path / "e.diagnostics.json").read_text())
     assert 0.6 <= rows[2]["median"] <= 0.8
     assert rows[2]["median"] == pytest.approx(math.log(2.0), abs=1e-3)
+
+
+def _plant_in_formatter(monkeypatch, steps, action):
+    """Run action(step) when the per-step formatter reaches one of the given
+    steps. The forked writer process inherits the patch."""
+    real = transforms.csv_rows
+
+    def csv_rows(*columns):
+        if len(columns) == 4 and columns[0][0] in steps:
+            action(columns[0][0])
+        return real(*columns)
+
+    monkeypatch.setattr(transforms, "csv_rows", csv_rows)
+
+
+def _raise(step):
+    raise RuntimeError(f"planted failure formatting step {step}")
+
+
+def _kill_self(step):
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("action, how", [(_raise, "exited with status 1"),
+                                         (_kill_self, "was killed by signal 9")], ids=["raises", "killed"])
+def test_iterate_failed_writer_process_exits_3(tmp_path, capsys, monkeypatch, action, how):
+    # --n 2 gives steps 0..2; the forked process formats steps 0 and 1
+    _plant_in_formatter(monkeypatch, {"1"}, action)
+    assert run("iterate", "--grid", "129", "--n", "2", "--out", str(tmp_path / "t.csv")) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("i/o error: the process writing steps 0-1 of ") and err.count("\n") == 1
+    assert how in err
+    assert not (tmp_path / "t.diagnostics.json").exists()
+    _assert_no_child_left()
+
+
+def test_iterate_failed_formatting_reaps_the_writer_process(tmp_path, monkeypatch):
+    # step 2 is this process's half; the writer process is killed and reaped
+    _plant_in_formatter(monkeypatch, {"2"}, _raise)
+    with pytest.raises(RuntimeError, match="step 2"):
+        run("iterate", "--grid", "129", "--n", "2", "--out", str(tmp_path / "t.csv"))
+    _assert_no_child_left()
+
+
+def test_iterate_writer_process_never_unwinds_the_caller(tmp_path):
+    # the forked writer leaves through os._exit, so a caller's `finally`
+    # (pytest's teardown, a profiler writing its report) runs once
+    log = tmp_path / "finally.log"
+    try:
+        assert run("iterate", "--grid", "129", "--n", "3", "--out", str(tmp_path / "t.csv")) == 0
+    finally:
+        with open(log, "a", encoding="ascii") as fh:
+            fh.write(f"{os.getpid()}\n")
+    assert log.read_text().splitlines() == [str(os.getpid())]
+    assert (tmp_path / "t.csv").read_text().count("\n") == 1 + 4 * 129
+    _assert_no_child_left()
 
 
 # --- verify ---------------------------------------------------------------------
@@ -372,10 +434,11 @@ def test_console_script_runs():
     assert "dlab" in proc.stdout
 
 
-def test_dlab_loads_no_scipy(tmp_path):
-    # numpy is the package's only runtime dependency. Each step records main's
-    # exit code and then the scipy modules loaded so far; modules are never
-    # unloaded, so a leak shows from the step that caused it onwards.
+def test_dlab_loads_no_scipy_or_process_launchers(tmp_path):
+    # numpy is the package's only runtime dependency, and `iterate`'s second
+    # process is a bare os.fork: no pool, spawn or exec. Each step records
+    # main's exit code and then the watched modules loaded so far; modules are
+    # never unloaded, so a leak shows from the step that caused it onwards.
     calls = [
         ["iterate", "--grid", "129", "--n", "2", "--out", "t.csv"],
         ["spectral", "--dist", "uniform", "--kind", "type3", "--grid", "129"],
@@ -387,14 +450,15 @@ def test_dlab_loads_no_scipy(tmp_path):
     ]
     probe = textwrap.dedent("""
         import json, sys
-        def scipy_modules():
-            return sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy')
+        WATCHED = ('scipy', 'multiprocessing', 'concurrent', 'subprocess')
+        def watched_modules():
+            return sorted(m for m in sys.modules if m.partition('.')[0] in WATCHED)
         import derangetropy
-        loaded = {'import derangetropy': scipy_modules()}
+        loaded = {'import derangetropy': watched_modules()}
         from derangetropy.cli import main
-        loaded['import derangetropy.cli'] = scipy_modules()
+        loaded['import derangetropy.cli'] = watched_modules()
         for argv in json.loads(sys.argv[1]):
-            loaded[' '.join(argv)] = [main(argv), *scipy_modules()]
+            loaded[' '.join(argv)] = [main(argv), *watched_modules()]
         print(json.dumps(loaded))
     """)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}

@@ -349,6 +349,19 @@ def test_trace_csv_formats_x_per_grid():
     assert "\n1,-0," in text and "\n0,0," in text
 
 
+def test_trace_csv_split_at_any_step_joins_to_the_whole():
+    # `dlab iterate` formats the two halves of a trace in two processes; a
+    # split between steps on different grids leaves each half its own x columns
+    vals = np.linspace(1.0, 2.0, 129)
+    steps = (GridDensity(-1.0, 0.0, vals), GridDensity(-2.0, 0.0, vals),
+             GridDensity(-1.0, -0.0, vals), GridDensity(-2.0, 0.0, vals))
+    tr = IterationTrace(TransformKind.TYPE3, steps, ())
+    whole = _trace_csv_reference(tr)
+    for k in range(1, len(steps) + 1):
+        assert trace_csv(tr, 0, k) + trace_csv(tr, k) == whole, k
+    assert trace_csv(tr, 1, 3) == "".join(whole.splitlines(keepends=True)[1 + 129:1 + 3 * 129])
+
+
 def test_trace_diagnostics_json_layout():
     g = from_analytic(DistributionSpec("uniform"), 129)
     tr = iterate(TransformKind.TYPE3, g, 2)

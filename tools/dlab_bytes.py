@@ -37,6 +37,10 @@ MATRIX: list[tuple[str, list[str]]] = [
                                "--out", "{out}/trace.csv"]),
     ("iterate-normal-type2", ["iterate", "--dist", "normal", "--kind", "type2",
                               "--params", "mean=0.3,stddev=1.7", "--out", "{out}/trace.csv"]),
+    # the trace is written by two processes: one step each, then the trace-export benchmark's shape
+    ("iterate-one-step", ["iterate", "--n", "1", "--out", "{out}/trace.csv"]),
+    ("iterate-arcsine-type1-grid65537", ["iterate", "--dist", "arcsine", "--kind", "type1", "--grid", "65537",
+                                         "--n", "8", "--out", "{out}/trace.csv"]),
     ("figures-fig1", ["figures", "--which", "fig1", "--outdir", "{out}"]),
     ("figures-fig2", ["figures", "--which", "fig2", "--outdir", "{out}"]),
     ("verify-json", ["verify", "--suite", "all", "--format", "json", "--out", "{out}/report.json"]),
