@@ -64,6 +64,7 @@ from .transforms import (
     iterate,
     kernel,
     log_derivative_grid,
+    steps,
     trace_csv,
     trace_diagnostics_json,
     transform,
@@ -116,6 +117,7 @@ __all__ = [
     "iterate",
     "kernel",
     "log_derivative_grid",
+    "steps",
     "trace_csv",
     "trace_diagnostics_json",
     "transform",

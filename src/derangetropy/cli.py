@@ -3,13 +3,15 @@
 Subcommands: transform, iterate, verify, spectral, figures. All outputs are
 deterministic data files (CSV with 17-significant-digit values, or JSON), so
 identical flags produce byte-identical bytes. Exit codes: 0 success, 1 a
-verification check failed (or an `iterate` step's mass defect passed the
-registry's gate, after both files are written), 2 usage error (or an `iterate`
-step that overflows or has a non-finite mean, variance or median, a `spectral`
-step whose variance is not a positive normal float, or a `spectral` --tstep-div
-whose comparison window |t| <= --tmax or CF dumps' window |t| <= 64*pi
+verification check failed (or, after both files are written, an `iterate`
+step whose mass defect passed the registry's gate or whose variance is not a
+positive normal float), 2 usage error (or an `iterate` step that overflows or
+has a non-finite mean, variance or median, a `spectral` step whose variance
+is not a positive normal float, or a `spectral` --tstep-div whose comparison
+window |t| <= --tmax or CF dumps' window |t| <= 64*pi
 spectral.window_half_count rejects, before any file is written), 3 I/O error
-(including an `iterate` trace whose forked writer process fails).
+(including an `iterate` trace whose forked writer process fails; the line
+names what it raised, if anything).
 The checks themselves live in `derangetropy.checks`; `verify` formats them.
 """
 
@@ -92,10 +94,13 @@ def _write_trace(path: str, trace: IterationTrace) -> None:
     (header included) through the file description it shares with this
     process, while this process formats the rest; it appends them once the
     child has exited 0. The child leaves only through os._exit, so it never
-    unwinds its caller's stack or flushes its copies of Python's buffers.
+    unwinds its caller's stack or flushes its copies of Python's buffers. A
+    child that raises sends the exception's type and text through a pipe,
+    and the OSError for its exit status ends with them.
     """
     split = (len(trace.steps) + 1) // 2
     with open(path, "w", encoding="ascii", newline="\n") as fh:
+        cause_in, cause_out = os.pipe()
         pid = os.fork()
         if pid == 0:
             status = 1
@@ -103,20 +108,25 @@ def _write_trace(path: str, trace: IterationTrace) -> None:
                 fh.write(trace_csv(trace, 0, split))
                 fh.flush()
                 status = 0
+            except BaseException as exc:
+                os.write(cause_out, f"{type(exc).__name__}: {exc}".encode(errors="replace"))
             finally:
                 os._exit(status)
-        try:
-            rest = trace_csv(trace, split)
-        except BaseException:
-            import signal  # only on this path, so `import derangetropy.cli` loads no more modules
+        os.close(cause_out)
+        with open(cause_in, "rb") as cause:
+            try:
+                rest = trace_csv(trace, split)
+            except BaseException:
+                import signal  # only on this path, so `import derangetropy.cli` loads no more modules
 
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-            raise
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                raise
+            why = cause.read().decode(errors="replace")  # empty once the child exits without one
         code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
         if code != 0:
             how = f"exited with status {code}" if code > 0 else f"was killed by signal {-code}"
-            raise OSError(f"the process writing steps 0-{split - 1} of {path} {how}")
+            raise OSError(f"the process writing steps 0-{split - 1} of {path} {how}" + (f": {why}" if why else ""))
         fh.write(rest)
 
 
@@ -135,9 +145,15 @@ def cmd_iterate(args: argparse.Namespace) -> int:
     _write_text(root + ".diagnostics.json", trace_diagnostics_json(trace))
     for k, d in enumerate(trace.diagnostics):
         if not d.integral_error <= checks.MASS_TOLERANCE:
-            print(f"error: step {k} integralError {d.integral_error:.3g} exceeds {checks.MASS_TOLERANCE:g};"
-                  f" the {args.grid}-node grid no longer resolves the iterate", file=sys.stderr)
-            return EXIT_VERIFY_FAILED
+            problem = (f"integralError {d.integral_error:.3g} exceeds {checks.MASS_TOLERANCE:g};"
+                       f" the {args.grid}-node grid no longer resolves the iterate")
+        elif not d.variance >= sys.float_info.min:
+            problem = (f"variance {d.variance!r} is not a positive normal float;"
+                       " the sidecar cannot hold the iterate's spread")
+        else:
+            continue
+        print(f"error: step {k} {problem}", file=sys.stderr)
+        return EXIT_VERIFY_FAILED
     return EXIT_OK
 
 

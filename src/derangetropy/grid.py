@@ -210,7 +210,8 @@ def median_of(g: GridDensity) -> float:
         for u in (cc / q, q / a):
             if -1e-12 * hs <= u <= hs * (1.0 + 1e-12):
                 return x0 + min(max(u, 0.0), hs) * s
-    return x0 + (0.5 - y0) * h / (y1 - y0)
+    # at F[i] == 1/2 the ratio can round past 1, which would put x past x1
+    return min(x0 + (0.5 - y0) * h / (y1 - y0), x1)
 
 
 def format_value(v: float) -> str:

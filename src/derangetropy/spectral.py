@@ -22,40 +22,17 @@ dense sum on the nodes lo + j*step, the error is at most 4e-15 on the five
 default families at n = 4097 over the default 4097-frequency window, the
 exponential being worst; the double dense sum itself is within 4e-15 of that
 reference.
-
-Iterating the phase-modulated transform contracts the density onto its median
-(the variance shrinks roughly fourfold per step), so a fixed grid would stop
-resolving the bump after a dozen steps. The convergence loop therefore
-re-grids adaptively: when the current window is much wider than the bump it
-re-samples the density onto a tight window around the mean, in coordinates
-centred on that mean. Each new node takes the Lagrange polynomial through the
-six old nodes around it, moved inward at the grid's ends, so the re-grid is
-exact for polynomials of degree 5 (local interpolation on uniform nodes; Berrut
-& Trefethen 2004). The weights depend only on the node's position in old
-steps, so they stay O(1) however narrow the bump is. The stencil sets the gap
-floor |d_n - D*|: 1.56e-11 on the five default families at 4097 nodes, against
-3.2e-10 for four points and 1.555e-11 for eight. The centre is a float offset
-that each re-grid adds its mean to, and it is added back only to the reported
-median, so the nodes stay uniform relative to the bump's width however narrow
-it gets; in absolute x half an ulp of the median is already 3e-7 standard
-deviations by step 30. The loop thus follows the iteration until the variance
-itself leaves the normal floats (step 510 from the unit uniform) and then
-raises, naming the step. The rescaled shape is grid-independent, so once the
-tails are light the diagnostics do not depend on when the re-gridding happens.
 """
 
 from __future__ import annotations
 
 import math
-import operator
-import sys
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
-from .grid import GridDensity, csv_rows, mean_and_variance, median_of, simpson, simpson_weights
-from .transforms import TransformKind, transform_step, transform_values
+from .grid import GridDensity, csv_rows, simpson_weights
+from .transforms import TransformKind, steps, transform_values
 
 DEFAULT_TSTEP = math.tau / 64.0
 DEFAULT_TMAX = 64.0 * math.pi
@@ -65,14 +42,6 @@ DEFAULT_SUP_TMAX = 5.0
 # convolution of a grid under 2**19 nodes runs at 2**20 points or fewer, at
 # most 16 MB per complex array.
 MAX_HALF_COUNT = 2**18
-
-# Width of the re-gridding window in standard deviations, and how much wider
-# than that window the current grid must be before re-gridding pays off.
-# The trigger matters while the tails are still heavy: re-gridding at every
-# step cuts them early, and moves the exponential's step-2 sup distance by
-# 9.1e-9. Once the bump is narrow it fires at nearly every step anyway.
-RESCALE_WINDOW_SIGMAS = 12.0
-REGRID_SPAN_FACTOR = 2.5
 
 
 @dataclass(frozen=True)
@@ -262,32 +231,6 @@ class ConvergenceDiagnostics:
         return self.variance.shape[0] - 1
 
 
-def _regrid(g: GridDensity, mean: float, sd: float) -> GridDensity:
-    """Resample onto +-RESCALE_WINDOW_SIGMAS around the mean, in coordinates
-    centred on it (the mean becomes 0), by 6-point Lagrange interpolation."""
-    lo = max(g.lo - mean, -RESCALE_WINDOW_SIGMAS * sd)
-    hi = min(g.hi - mean, RESCALE_WINDOW_SIGMAS * sd)
-    u = (np.linspace(lo, hi, g.n) - (g.lo - mean)) / g.step  # new nodes in old steps
-    first = np.clip(np.floor(u).astype(int) - 2, 0, g.n - 6)  # stencil moved inward at the ends
-    d = [u - first - i for i in range(6)]  # offsets from the six stencil nodes, in old steps
-    terms = []
-    for j in range(6):
-        others = [i for i in range(6) if i != j]
-        w = reduce(operator.mul, [d[i] for i in others]) / math.prod(j - i for i in others)
-        terms.append(w * g.values[first + j])
-    vals = np.clip(reduce(operator.add, terms), 0.0, None)
-    return GridDensity(lo, hi, vals / simpson(vals, lo, hi))
-
-
-def _checked_moments(g: GridDensity) -> tuple[float, float]:
-    """mean_and_variance, raising unless the variance is a positive normal float."""
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the check below
-        mean, var = mean_and_variance(g)
-    if not sys.float_info.min <= var <= sys.float_info.max:
-        raise ValueError(f"variance {var!r} is not a positive, finite, normal float")
-    return mean, var
-
-
 def _rescaled_sup_distance(g: GridDensity, mean: float, sd: float,
                            tstep: float, tmax: float) -> float:
     k = window_half_count(tstep, tmax)
@@ -303,44 +246,20 @@ def gaussian_convergence(kind: TransformKind, g: GridDensity, n: int,
     """Iterate the transform n times and track the Gaussian sup-distance.
 
     Row k holds the step-k variance, median, sup_t |phi_k_rescaled - gauss|
-    over |t| <= tmax, and the product 2*pi^2*k*variance. Iterates live in
-    coordinates centred on the mean at their last re-grid; the accumulated
-    centre is added back only to the reported median. Raises ValueError
-    naming the step when an iterate leaves floating-point range or its
-    variance is not a positive, finite, normal float.
+    over |t| <= tmax, and the product 2*pi^2*k*variance. The iterates come
+    from `transforms.steps` with follow set, so they live in coordinates
+    centred on the mean at their last re-grid, and the accumulated centre is
+    added back only to the reported median. Raises ValueError naming the
+    step when an iterate leaves floating-point range or its variance is not
+    a positive, finite, normal float.
     """
     if n < 0:
         raise ValueError(f"step count must be >= 0, got {n}")
-    variances: list[float] = []
-    medians: list[float] = []
-    sups: list[float] = []
-    rates: list[float] = []
-    centre = 0.0
-    current = g
-    for step in range(n + 1):
-        try:
-            if step > 0:
-                current = transform_step(kind, current).density
-            mean, var = _checked_moments(current)
-            sd = math.sqrt(var)
-            if step > 0 and (current.hi - current.lo) > REGRID_SPAN_FACTOR * RESCALE_WINDOW_SIGMAS * sd:
-                current = _regrid(current, mean, sd)
-                centre += mean
-                mean, var = _checked_moments(current)
-            median = median_of(current)
-        except ValueError as exc:
-            raise ValueError(f"step {step} of the {kind.value} convergence loop is out of range: {exc}") from exc
-        variances.append(var)
-        medians.append(centre + median)
-        sups.append(_rescaled_sup_distance(current, mean, math.sqrt(var), tstep, tmax))
-        rates.append(2.0 * math.pi**2 * step * var)
-    return ConvergenceDiagnostics(
-        kind=kind,
-        variance=np.array(variances),
-        median=np.array(medians),
-        sup_distance=np.array(sups),
-        rate_product=np.array(rates),
-    )
+    rows = []
+    for k, density, centre, d in steps(kind, g, n, follow=True):
+        sup = _rescaled_sup_distance(density, d.mean, math.sqrt(d.variance), tstep, tmax)
+        rows.append((d.variance, centre + d.median, sup, 2.0 * math.pi**2 * k * d.variance))
+    return ConvergenceDiagnostics(kind, *(np.array(column) for column in zip(*rows)))
 
 
 def diagnostics_csv(d: ConvergenceDiagnostics) -> str:

@@ -12,6 +12,27 @@ are total on [0, 1] and vanish at both endpoints, so transformed densities
 are zero wherever the mass runs out. The leading constants make each weighted
 density integrate to one exactly in the continuum; on a grid the integral is
 recorded before renormalization so discretization error stays observable.
+
+Iterating the phase-modulated transform contracts the density onto its median
+(the variance shrinks roughly fourfold per step), so a fixed grid would stop
+resolving the bump after a dozen steps. `steps` with `follow` set, the loop of
+`spectral.gaussian_convergence`, therefore re-grids adaptively: when the
+current window is much wider than the bump it re-samples the density onto a
+tight window around the mean, in coordinates centred on that mean. Each new
+node takes the Lagrange polynomial through the six old nodes around it, moved
+inward at the grid's ends, so the re-grid is exact for polynomials of degree 5
+(local interpolation on uniform nodes; Berrut & Trefethen 2004). The weights
+depend only on the node's position in old steps, so they stay O(1) however
+narrow the bump is. The stencil sets the gap floor |d_n - D*|: 1.56e-11 on the
+five default families at 4097 nodes, against 3.2e-10 for four points and
+1.555e-11 for eight. The centre is a float offset that each re-grid adds its
+mean to, and it is added back only to the reported median, so the nodes stay
+uniform relative to the bump's width however narrow it gets; in absolute x
+half an ulp of the median is already 3e-7 standard deviations by step 30. The
+loop thus follows the iteration until the variance itself leaves the normal
+floats (step 510 from the unit uniform) and then raises, naming the step. The
+rescaled shape is grid-independent, so once the tails are light the
+diagnostics do not depend on when the re-gridding happens.
 """
 
 from __future__ import annotations
@@ -19,7 +40,11 @@ from __future__ import annotations
 import enum
 import json
 import math
+import operator
+import sys
+from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -138,41 +163,92 @@ class IterationTrace:
     diagnostics: tuple[StepDiagnostics, ...]
 
 
-def _diagnose(g: GridDensity, integral_error: float) -> StepDiagnostics:
-    """Step statistics, raising unless each is finite, so the sidecar holds only JSON numbers."""
-    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite statistic fails the check below
-        mean, var = mean_and_variance(g)
-        d = StepDiagnostics(variance=var, median=median_of(g), mean=mean, integral_error=integral_error)
-    for name, value in vars(d).items():
+# Width of the re-gridding window in standard deviations, and how much wider
+# than that window the current grid must be before re-gridding pays off.
+# The trigger matters while the tails are still heavy: re-gridding at every
+# step cuts them early, and moves the exponential's step-2 sup distance by
+# 9.1e-9. Once the bump is narrow it fires at nearly every step anyway.
+RESCALE_WINDOW_SIGMAS = 12.0
+REGRID_SPAN_FACTOR = 2.5
+
+
+def _regrid(g: GridDensity, mean: float, sd: float) -> GridDensity:
+    """Resample onto +-RESCALE_WINDOW_SIGMAS around the mean, in coordinates
+    centred on it (the mean becomes 0), by 6-point Lagrange interpolation."""
+    lo = max(g.lo - mean, -RESCALE_WINDOW_SIGMAS * sd)
+    hi = min(g.hi - mean, RESCALE_WINDOW_SIGMAS * sd)
+    u = (np.linspace(lo, hi, g.n) - (g.lo - mean)) / g.step  # new nodes in old steps
+    first = np.clip(np.floor(u).astype(int) - 2, 0, g.n - 6)  # stencil moved inward at the ends
+    d = [u - first - i for i in range(6)]  # offsets from the six stencil nodes, in old steps
+    terms = []
+    for j in range(6):
+        others = [i for i in range(6) if i != j]
+        w = reduce(operator.mul, [d[i] for i in others]) / math.prod(j - i for i in others)
+        terms.append(w * g.values[first + j])
+    vals = np.clip(reduce(operator.add, terms), 0.0, None)
+    return GridDensity(lo, hi, vals / simpson(vals, lo, hi))
+
+
+def _check(follow: bool, **stats: float) -> None:
+    """The rule for a valid step: every statistic is finite, so a sidecar
+    holds only JSON numbers, and when the grid follows the iterate the
+    variance is a positive normal float, since the re-grid and the sup
+    distance divide by its square root."""
+    if follow and not sys.float_info.min <= stats["variance"] <= sys.float_info.max:
+        raise ValueError(f"variance {stats['variance']!r} is not a positive, finite, normal float")
+    for name, value in stats.items():
         if not math.isfinite(value):
             raise ValueError(f"{name} {value!r} is not finite")
-    return d
+
+
+def steps(kind: TransformKind, g: GridDensity, n: int,
+          follow: bool = False) -> Iterator[tuple[int, GridDensity, float, StepDiagnostics]]:
+    """Yield (k, density, centre, diagnostics) for k = 0 .. n: step 0 is g
+    and step k the renormalized transform of step k-1.
+
+    Without follow every step stays on g's grid and centre is 0. With it, a
+    step k >= 1 whose grid is more than REGRID_SPAN_FACTOR times wider than
+    +-RESCALE_WINDOW_SIGMAS standard deviations is re-gridded onto that
+    window, centred on its mean, which is added to centre: the step's x is
+    centre + its node. Raises ValueError naming the step when an iterate
+    leaves the range of floating point (its values or its CDF's cumulative
+    sums overflow) or a statistic breaks `_check`.
+    """
+    centre, current = 0.0, g
+    for k in range(n + 1):
+        try:
+            # an overflow gives a non-finite density or statistic, which fails a check
+            with np.errstate(over="ignore", invalid="ignore"):
+                if k == 0:
+                    integral_error = abs(integrate(current) - 1.0)
+                else:
+                    step = transform_step(kind, current)
+                    current, integral_error = step.density, step.integral_error
+                mean, var = mean_and_variance(current)
+                if follow:
+                    _check(follow, variance=var, mean=mean)
+                    sd = math.sqrt(var)
+                    if k > 0 and current.hi - current.lo > REGRID_SPAN_FACTOR * RESCALE_WINDOW_SIGMAS * sd:
+                        current = _regrid(current, mean, sd)
+                        centre += mean
+                        mean, var = mean_and_variance(current)
+                d = StepDiagnostics(variance=var, median=median_of(current), mean=mean,
+                                    integral_error=integral_error)
+            _check(follow, **vars(d))
+        except ValueError as exc:
+            raise ValueError(f"step {k} of the {kind.value} iteration is out of range: {exc}") from exc
+        yield k, current, centre, d
 
 
 def iterate(kind: TransformKind, g: GridDensity, n: int) -> IterationTrace:
-    """Apply the transform n times, renormalizing at every step.
+    """Apply the transform n times on g's grid, renormalizing at every step.
 
-    Raises ValueError naming the step when an iterate leaves the range of
-    floating point (its values or its CDF's cumulative sums overflow, or a
-    diagnostic is not finite).
+    Raises ValueError as `steps` does.
     """
     if n < 1:
         raise ValueError(f"iteration count must be >= 1, got {n}")
-    steps: list[GridDensity] = []
-    diagnostics: list[StepDiagnostics] = []
-    current = g
-    for k in range(n + 1):
-        try:
-            if k == 0:
-                integral_error = abs(integrate(current) - 1.0)
-            else:
-                step = transform_step(kind, current)
-                current, integral_error = step.density, step.integral_error
-            diagnostics.append(_diagnose(current, integral_error))
-        except ValueError as exc:
-            raise ValueError(f"step {k} of the {kind.value} iteration is out of range: {exc}") from exc
-        steps.append(current)
-    return IterationTrace(kind, tuple(steps), tuple(diagnostics))
+    _, densities, _, diagnostics = zip(*steps(kind, g, n))
+    return IterationTrace(kind, densities, diagnostics)
 
 
 def trace_csv(trace: IterationTrace, start: int = 0, stop: int | None = None) -> str:

@@ -180,6 +180,22 @@ def test_iterate_nonfinite_diagnostic_names_the_step(tmp_path, capsys):
     assert not out.exists() and not (tmp_path / "o.diagnostics.json").exists()
 
 
+@pytest.mark.parametrize("rate, n, step", [("1e300", "1", 0), ("1e153", "3", 3)])
+def test_iterate_variance_below_normal_floats_exits_1_after_writing(tmp_path, capsys, rate, n, step):
+    # the exponential's variance is 1/rate^2: 1e-600 reads 0.0 from step 0,
+    # and at rate 1e153 the step-3 variance is subnormal (1.05e-308)
+    out = tmp_path / "v.csv"
+    assert run("iterate", "--dist", "exponential", "--params", f"rate={rate}", "--n", n,
+               "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: step {step} variance ") and err.count("\n") == 1
+    assert "is not a positive normal float" in err
+    rows = json.loads((tmp_path / "v.diagnostics.json").read_text())
+    assert len(rows) == int(n) + 1 and out.exists()
+    assert all(r["variance"] >= sys.float_info.min for r in rows[:step])
+    assert not rows[step]["variance"] >= sys.float_info.min
+
+
 def test_iterate_exponential_median_stays_near_ln2(tmp_path):
     out = tmp_path / "e.csv"
     assert run("iterate", "--dist", "exponential", "--kind", "type3",
@@ -215,15 +231,19 @@ def _assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-@pytest.mark.parametrize("action, how", [(_raise, "exited with status 1"),
-                                         (_kill_self, "was killed by signal 9")], ids=["raises", "killed"])
-def test_iterate_failed_writer_process_exits_3(tmp_path, capsys, monkeypatch, action, how):
-    # --n 2 gives steps 0..2; the forked process formats steps 0 and 1
+@pytest.mark.parametrize("action, how, cause", [
+    (_raise, "exited with status 1", ": RuntimeError: planted failure formatting step 1\n"),
+    (_kill_self, "was killed by signal 9", "was killed by signal 9\n"),
+], ids=["raises", "killed"])
+def test_iterate_failed_writer_process_exits_3(tmp_path, capsys, monkeypatch, action, how, cause):
+    # --n 2 gives steps 0..2; the forked process formats steps 0 and 1 and
+    # names what it raised; a killed one leaves nothing to name
     _plant_in_formatter(monkeypatch, {"1"}, action)
     assert run("iterate", "--grid", "129", "--n", "2", "--out", str(tmp_path / "t.csv")) == 3
     err = capsys.readouterr().err
     assert err.startswith("i/o error: the process writing steps 0-1 of ") and err.count("\n") == 1
     assert how in err
+    assert err.endswith(cause)
     assert not (tmp_path / "t.diagnostics.json").exists()
     _assert_no_child_left()
 

@@ -285,7 +285,9 @@ def adversarial_densities(draw):
         u = np.linspace(0.0, 1.0, 129)
         width = 10.0 ** draw(st.integers(-12, 0))
         shape = (1.0 + ((u - draw(st.floats(0.0, 1.0))) / width) ** 2) ** -draw(st.sampled_from([0.5, 1.0, 2.0]))
-        vals = 10.0 ** draw(value_exp) * shape / shape.max()
+        # normalize the shape first: a bump narrower than a step can peak
+        # below 1e-30 at the nodes, and 1e-294 times that underflows to 0
+        vals = 10.0 ** draw(value_exp) * (shape / shape.max())
     return lo, lo + span, vals
 
 
@@ -296,8 +298,14 @@ _UNDERFLOWING_DISCRIMINANT = np.zeros(129)
 _UNDERFLOWING_DISCRIMINANT[[3, 51, 101]] = [1e-303, 4e-314, 1e-303 * (1 + 1.6e-11) - 4e-314]
 
 
+# a symmetric bump puts F[64] at exactly 1/2; on a span this narrow the
+# linear fallback's (0.5 - F[63]) * h / (F[64] - F[63]) rounds past h
+_SYMMETRIC_BUMP = (1.0 + ((np.linspace(0.0, 1.0, 129) - 0.5) / 0.1) ** 2) ** -2.0
+
+
 @given(grid=adversarial_densities())
 @example(grid=(0.0, 128.0, _UNDERFLOWING_DISCRIMINANT))
+@example(grid=(-5e-126, 5e-126, _SYMMETRIC_BUMP))
 @settings(max_examples=300, deadline=None)
 def test_median_of_stays_in_its_bracket(grid):
     # the facts median_of relies on instead of guards: F starts at exactly 0

@@ -14,7 +14,9 @@ from derangetropy import (
     diagnostics_csv,
     from_analytic,
     gaussian_convergence,
+    iterate,
     modulated_char,
+    steps,
     t_operator,
     transform_values,
     type3_cf_identity_gap,
@@ -25,14 +27,13 @@ from derangetropy.spectral import (
     DEFAULT_SUP_TMAX,
     DEFAULT_TSTEP,
     MAX_HALF_COUNT,
-    RESCALE_WINDOW_SIGMAS,
     _cf_samples,
     _fft_length,
     _frequencies,
-    _regrid,
     _rescaled_sup_distance,
     window_half_count,
 )
+from derangetropy.transforms import RESCALE_WINDOW_SIGMAS, _regrid
 
 import oracles
 
@@ -319,6 +320,23 @@ def test_convergence_holds_attractor_to_sixty_steps(ref_grids, family):
     assert d.steps == 60
     gaps = np.abs(d.sup_distance[30:] - oracles.ATTRACTOR_SUP_DISTANCE)
     assert np.max(gaps) <= 2.5e-11
+
+
+@pytest.mark.parametrize("family", ["exponential", "uniform"])
+@pytest.mark.parametrize("kind", list(TransformKind), ids=[k.value for k in TransformKind])
+def test_iterate_and_convergence_share_one_loop(ref_grids, family, kind):
+    # both run transforms.steps, so until the convergence loop first leaves
+    # the input grid (step 1 from the exponential, 4 to 8 from the uniform)
+    # they report the same bits
+    g, n = ref_grids[family], 10
+    trace = iterate(kind, g, n)
+    d = gaussian_convergence(kind, g, n)
+    first = next(k for k, density, _, _ in steps(kind, g, n, follow=True)
+                 if (density.lo, density.hi) != (g.lo, g.hi))
+    assert first >= 1
+    for k in range(first):
+        assert d.variance[k] == trace.diagnostics[k].variance, k
+        assert d.median[k] == trace.diagnostics[k].median, k
 
 
 @pytest.mark.parametrize("mean, sd", [(0.1, 0.05), (0.5, 0.1)], ids=["inside", "to-upper-end"])

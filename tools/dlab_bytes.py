@@ -41,6 +41,9 @@ MATRIX: list[tuple[str, list[str]]] = [
     ("iterate-one-step", ["iterate", "--n", "1", "--out", "{out}/trace.csv"]),
     ("iterate-arcsine-type1-grid65537", ["iterate", "--dist", "arcsine", "--kind", "type1", "--grid", "65537",
                                          "--n", "8", "--out", "{out}/trace.csv"]),
+    # a variance of 1e-600 reads 0.0: both files are written, then exit 1
+    ("iterate-variance-underflow", ["iterate", "--dist", "exponential", "--params", "rate=1e300", "--n", "1",
+                                    "--out", "{out}/trace.csv"]),
     ("figures-fig1", ["figures", "--which", "fig1", "--outdir", "{out}"]),
     ("figures-fig2", ["figures", "--which", "fig2", "--outdir", "{out}"]),
     ("verify-json", ["verify", "--suite", "all", "--format", "json", "--out", "{out}/report.json"]),
@@ -49,9 +52,12 @@ MATRIX: list[tuple[str, list[str]]] = [
     # 16385 nodes put the Bluestein FFTs at 16875 = 3**3 * 5**4 points, a length with no factor 2
     ("spectral-uniform-grid16385", ["spectral", "--dist", "uniform", "--grid", "16385",
                                     "--outdir", "{out}"]),
-    # usage errors (exit 2): only their stderr is fingerprinted
+    # exit 2 before any file is written: only their stderr is fingerprinted
     ("spectral-tstep-div-past-dump-cap", ["spectral", "--tstep-div", "8193", "--outdir", "{out}/sp"]),
     ("spectral-tmax-inf", ["spectral", "--tmax", "inf", "--outdir", "{out}/sp"]),
+    # the iteration stops at step 0, whose variance underflows to 0
+    ("spectral-variance-underflow", ["spectral", "--dist", "exponential", "--params", "rate=1e307",
+                                     "--grid", "129", "--n", "8", "--outdir", "{out}/sp"]),
     ("transform-uniform-collapsed-nodes", ["transform", "--dist", "uniform", "--params",
                                            "a=1e17,b=1.0000000000000002e17", "--grid", "129",
                                            "--out", "{out}/t.csv"]),
