@@ -110,13 +110,14 @@ class GridDensity:
         return np.linspace(self.lo, self.hi, self.n)
 
     @cached_property
-    def cdf(self) -> np.ndarray:
-        """Running CDF at the nodes, pinned to exactly 1 at the last; read-only.
+    def _cdf_and_mass(self) -> tuple[np.ndarray, float]:
+        """The running CDF at the nodes and the cumulative total it is
+        divided by, computed together on first access and kept.
 
         The raw cumulative rule can dip on adversarial (non-smooth) inputs
         because the half-panel parabola is not monotone in its data, so a
         running maximum enforces the CDF monotonicity contract; it is a no-op
-        for smooth densities. Computed on first access and kept.
+        for smooth densities.
         """
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the check below
             raw = np.maximum.accumulate(cumulative_simpson(self.values, self.step))
@@ -125,7 +126,18 @@ class GridDensity:
             raise ValueError(f"cannot build a CDF from a density with cumulative mass {total}")
         cdf = raw / total
         cdf.setflags(write=False)
-        return cdf
+        return cdf, total
+
+    @property
+    def cdf(self) -> np.ndarray:
+        """Running CDF at the nodes, pinned to exactly 1 at the last; read-only."""
+        return self._cdf_and_mass[0]
+
+    @property
+    def cdf_mass(self) -> float:
+        """The cumulative total that `cdf` is divided by: values / cdf_mass
+        is the density whose running integral `cdf` is."""
+        return self._cdf_and_mass[1]
 
 
 def from_analytic(spec: DistributionSpec, n: int) -> GridDensity:
@@ -186,6 +198,8 @@ def median_of(g: GridDensity) -> float:
     F(x0 + t) = F0 + f0 t + (f1 - f0) t^2 / (2h), and the quadratic is solved
     for t. That keeps the inversion error at O(h^3); plain linear
     interpolation of F is only O(h^2), which is visible in refinement checks.
+    f0 and f1 are the node values divided by `g.cdf_mass`, the total that
+    divides the CDF, so the median does not depend on the scale of the values.
     """
     F, xs = g.cdf, g.xs
     # F[0] is exactly 0 and F[-1] exactly 1, so 1 <= i < n and F[i-1] < 1/2 <= F[i]
@@ -197,7 +211,7 @@ def median_of(g: GridDensity) -> float:
     # so the root is unchanged, and f*s stays finite where f*f would overflow
     s = math.ldexp(1.0, math.frexp(h)[1])
     hs = h / s
-    f0, f1 = float(g.values[i - 1]) * s, float(g.values[i]) * s
+    f0, f1 = float(g.values[i - 1]) / g.cdf_mass * s, float(g.values[i]) / g.cdf_mass * s
     a = 0.5 * (f1 - f0) / hs
     b = f0
     cc = y0 - 0.5

@@ -16,11 +16,14 @@ recorded before renormalization so discretization error stays observable.
 Iterating the phase-modulated transform contracts the density onto its median
 (the variance shrinks roughly fourfold per step), so a fixed grid would stop
 resolving the bump after a dozen steps. `steps` with `follow` set, the loop of
-`spectral.gaussian_convergence`, therefore re-grids adaptively: when the
-current window is much wider than the bump it re-samples the density onto a
-tight window around the mean, in coordinates centred on that mean. Each new
-node takes the Lagrange polynomial through the six old nodes around it, moved
-inward at the grid's ends, so the re-grid is exact for polynomials of degree 5
+`spectral.gaussian_convergence`, therefore re-grids every step after the
+first: it re-samples the density onto a window around the mean, in
+coordinates centred on that mean. Each end of the window reaches at least
+RESCALE_WINDOW_SIGMAS standard deviations from the mean, and further, up to
+the old grid's end, until less than 1e-17 of the mass lies beyond it, so a
+skewed early step (the exponential's) keeps its tail. Each new node takes
+the Lagrange polynomial through the six old nodes around it, moved inward at
+the grid's ends, so the re-grid is exact for polynomials of degree 5
 (local interpolation on uniform nodes; Berrut & Trefethen 2004). The weights
 depend only on the node's position in old steps, so they stay O(1) however
 narrow the bump is. The stencil sets the gap floor |d_n - D*|: 1.56e-11 on the
@@ -30,9 +33,7 @@ mean to, and it is added back only to the reported median, so the nodes stay
 uniform relative to the bump's width however narrow it gets; in absolute x
 half an ulp of the median is already 3e-7 standard deviations by step 30. The
 loop thus follows the iteration until the variance itself leaves the normal
-floats (step 510 from the unit uniform) and then raises, naming the step. The
-rescaled shape is grid-independent, so once the tails are light the
-diagnostics do not depend on when the re-gridding happens.
+floats (step 510 from the unit uniform) and then raises, naming the step.
 """
 
 from __future__ import annotations
@@ -55,6 +56,7 @@ from .grid import (
     mean_and_variance,
     median_of,
     simpson,
+    simpson_weights,
 )
 
 TYPE1_CONSTANT = 24.0 / (math.pi * math.e)
@@ -163,20 +165,33 @@ class IterationTrace:
     diagnostics: tuple[StepDiagnostics, ...]
 
 
-# Width of the re-gridding window in standard deviations, and how much wider
-# than that window the current grid must be before re-gridding pays off.
-# The trigger matters while the tails are still heavy: re-gridding at every
-# step cuts them early, and moves the exponential's step-2 sup distance by
-# 9.1e-9. Once the bump is narrow it fires at nearly every step anyway.
+# Least half-width of the re-gridding window, in standard deviations.
 RESCALE_WINDOW_SIGMAS = 12.0
-REGRID_SPAN_FACTOR = 2.5
 
 
-def _regrid(g: GridDensity, mean: float, sd: float) -> GridDensity:
-    """Resample onto +-RESCALE_WINDOW_SIGMAS around the mean, in coordinates
-    centred on it (the mean becomes 0), by 6-point Lagrange interpolation."""
-    lo = max(g.lo - mean, -RESCALE_WINDOW_SIGMAS * sd)
-    hi = min(g.hi - mean, RESCALE_WINDOW_SIGMAS * sd)
+def _window(g: GridDensity, mean: float, sd: float) -> tuple[float, float]:
+    """Ends of the re-gridding window relative to the mean: each reaches at
+    least RESCALE_WINDOW_SIGMAS * sd, and further, within the old grid, while
+    1e-17 or more of the mass lies beyond it.
+
+    g's values integrate to 1, as every step's do. Each tail is read as a
+    running sum of the Simpson-weighted values from its own end of the grid,
+    which resolves 1e-17 where 1 - g.cdf rounds to 1.0. The end stops one
+    node before the first node whose sum reaches 1e-17: a sum starting at an
+    end node whose value is 0 reads 0 even when the first panel holds mass.
+    """
+    w = simpson_weights(g.n, g.step) * g.values
+    below = max(int(np.searchsorted(np.cumsum(w), 1e-17)) - 1, 0)
+    above = max(int(np.searchsorted(np.cumsum(w[::-1]), 1e-17)) - 1, 0)
+    xs = g.xs
+    lo = max(g.lo - mean, min(-RESCALE_WINDOW_SIGMAS * sd, float(xs[below]) - mean))
+    hi = min(g.hi - mean, max(RESCALE_WINDOW_SIGMAS * sd, float(xs[g.n - 1 - above]) - mean))
+    return lo, hi
+
+
+def _regrid(g: GridDensity, mean: float, lo: float, hi: float) -> GridDensity:
+    """Resample onto [lo, hi] in coordinates centred on the mean (the mean
+    becomes 0), by 6-point Lagrange interpolation."""
     u = (np.linspace(lo, hi, g.n) - (g.lo - mean)) / g.step  # new nodes in old steps
     first = np.clip(np.floor(u).astype(int) - 2, 0, g.n - 6)  # stencil moved inward at the ends
     d = [u - first - i for i in range(6)]  # offsets from the six stencil nodes, in old steps
@@ -206,13 +221,14 @@ def steps(kind: TransformKind, g: GridDensity, n: int,
     """Yield (k, density, centre, diagnostics) for k = 0 .. n: step 0 is g
     and step k the renormalized transform of step k-1.
 
-    Without follow every step stays on g's grid and centre is 0. With it, a
-    step k >= 1 whose grid is more than REGRID_SPAN_FACTOR times wider than
-    +-RESCALE_WINDOW_SIGMAS standard deviations is re-gridded onto that
-    window, centred on its mean, which is added to centre: the step's x is
-    centre + its node. Raises ValueError naming the step when an iterate
-    leaves the range of floating point (its values or its CDF's cumulative
-    sums overflow) or a statistic breaks `_check`.
+    Without follow every step stays on g's grid and centre is 0. With it,
+    every step k >= 1 is re-gridded onto `_window`'s window around its mean,
+    which keeps at least +-RESCALE_WINDOW_SIGMAS standard deviations and
+    every tail holding 1e-17 or more of the mass, in coordinates centred on
+    that mean; the mean is added to centre, so the step's x is centre + its
+    node. Raises ValueError naming the step when an iterate leaves the range
+    of floating point (its values or its CDF's cumulative sums overflow) or a
+    statistic breaks `_check`.
     """
     centre, current = 0.0, g
     for k in range(n + 1):
@@ -227,9 +243,8 @@ def steps(kind: TransformKind, g: GridDensity, n: int,
                 mean, var = mean_and_variance(current)
                 if follow:
                     _check(follow, variance=var, mean=mean)
-                    sd = math.sqrt(var)
-                    if k > 0 and current.hi - current.lo > REGRID_SPAN_FACTOR * RESCALE_WINDOW_SIGMAS * sd:
-                        current = _regrid(current, mean, sd)
+                    if k > 0:
+                        current = _regrid(current, mean, *_window(current, mean, math.sqrt(var)))
                         centre += mean
                         mean, var = mean_and_variance(current)
                 d = StepDiagnostics(variance=var, median=median_of(current), mean=mean,

@@ -267,6 +267,18 @@ def test_median_of_matches_closed_form(family, ref_grids):
     )
 
 
+@pytest.mark.parametrize("factor", [3.0, 2.0**40, 2.0**-40], ids=["3", "2^40", "2^-40"])
+def test_median_of_does_not_depend_on_the_scale_of_the_values(factor, ref_grids):
+    # the CDF is divided by its cumulative total, and so are the densities
+    # of the bracketing panel's quadratic: a power of two keeps every bit
+    g = ref_grids["exponential"]
+    scaled = median_of(GridDensity(g.lo, g.hi, g.values * factor))
+    if factor == 3.0:
+        assert scaled == pytest.approx(median_of(g), abs=1e-14)
+    else:
+        assert scaled == median_of(g)
+
+
 @st.composite
 def adversarial_densities(draw):
     """(lo, hi, values) on 129 nodes: a span from 1e-300 to 1e300 carrying

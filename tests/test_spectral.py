@@ -18,11 +18,12 @@ from derangetropy import (
     modulated_char,
     steps,
     t_operator,
+    transform,
     transform_values,
     type3_cf_identity_gap,
     uniform_closed_form_cf,
 )
-from derangetropy.grid import mean_and_variance, simpson_weights
+from derangetropy.grid import mean_and_variance, simpson, simpson_weights
 from derangetropy.spectral import (
     DEFAULT_SUP_TMAX,
     DEFAULT_TSTEP,
@@ -33,7 +34,7 @@ from derangetropy.spectral import (
     _rescaled_sup_distance,
     window_half_count,
 )
-from derangetropy.transforms import RESCALE_WINDOW_SIGMAS, _regrid
+from derangetropy.transforms import RESCALE_WINDOW_SIGMAS, _regrid, _window
 
 import oracles
 
@@ -326,8 +327,8 @@ def test_convergence_holds_attractor_to_sixty_steps(ref_grids, family):
 @pytest.mark.parametrize("kind", list(TransformKind), ids=[k.value for k in TransformKind])
 def test_iterate_and_convergence_share_one_loop(ref_grids, family, kind):
     # both run transforms.steps, so until the convergence loop first leaves
-    # the input grid (step 1 from the exponential, 4 to 8 from the uniform)
-    # they report the same bits
+    # the input grid they report the same bits; it re-grids every step after
+    # the first, so both families leave it at step 1
     g, n = ref_grids[family], 10
     trace = iterate(kind, g, n)
     d = gaussian_convergence(kind, g, n)
@@ -348,12 +349,71 @@ def test_regrid_reproduces_degree_five_polynomial(mean, sd):
         return 3.0 + x - x**2 + 0.5 * x**3 + 0.25 * x**4 - 0.2 * x**5
 
     g = GridDensity(-1.0, 1.0, quintic(np.linspace(-1.0, 1.0, 129)))
-    r = _regrid(g, mean, sd)
-    assert r.lo == max(-1.0 - mean, -RESCALE_WINDOW_SIGMAS * sd)
-    assert r.hi == min(1.0 - mean, RESCALE_WINDOW_SIGMAS * sd)
+    lo, hi = max(-1.0 - mean, -RESCALE_WINDOW_SIGMAS * sd), min(1.0 - mean, RESCALE_WINDOW_SIGMAS * sd)
+    r = _regrid(g, mean, lo, hi)
+    assert (r.lo, r.hi) == (lo, hi)
     expected = quintic(r.xs + mean)
     expected = expected / float(np.dot(simpson_weights(r.n, r.step), expected))
     assert np.max(np.abs(r.values - expected) / expected) <= 1e-13
+
+
+@pytest.mark.parametrize("end_mass", [0.0, 1e-10], ids=["light-tails", "mass-next-to-a-zero-end"])
+def test_regrid_window_on_a_light_tailed_bump(end_mass):
+    # a Gaussian bump holds under 1e-32 of its mass past 12 sigma, so its
+    # tails never widen the window. Its last node is 0, so with end_mass on
+    # the node before it the tail summed from that end reads 0 at the end
+    # node and end_mass one node in: the window must keep the end node, or
+    # it cuts that panel off
+    x = np.linspace(-1.0, 1.0, 4097)
+    bump = np.exp(-0.5 * ((x - 0.1) / 0.02) ** 2)
+    bump = bump / simpson(bump, -1.0, 1.0)
+    bump[-2] = end_mass / simpson_weights(4097, x[1] - x[0])[-2]
+    g = GridDensity(-1.0, 1.0, bump)
+    mean, var = mean_and_variance(g)
+    sd = math.sqrt(var)
+    hi = 1.0 - mean if end_mass else RESCALE_WINDOW_SIGMAS * sd
+    assert _window(g, mean, sd) == (-RESCALE_WINDOW_SIGMAS * sd, hi)
+
+
+def test_regrid_window_keeps_the_exponential_step1_tail(ref_grids):
+    # Type III maps the CDF by W(u) = u - sin(2 pi u)/(2 pi), so with
+    # e = exp(-x) the step-1 mass beyond x is 1 - W(1 - e) = e - sin(2 pi e)/(2 pi).
+    # At 12 sigma past the mean that is 9.9e-8; the window reaches on until
+    # less than 1e-17 lies beyond it, and keeps the whole left end
+    g = ref_grids["exponential"]
+    one = transform(TransformKind.TYPE3, g)
+    mean, var = mean_and_variance(one)
+    sd = math.sqrt(var)
+    lo, hi = _window(one, mean, sd)
+    assert lo == g.lo - mean
+    assert hi > RESCALE_WINDOW_SIGMAS * sd
+    e = math.exp(-(mean + hi))
+    assert e - math.sin(math.tau * e) / math.tau < 1e-17
+
+
+@pytest.fixture(scope="module")
+def exponential_runs(ref_grids, ref_specs):
+    # thirty steps per kind from the exponential at 4097 nodes and at 16385
+    grids = (ref_grids["exponential"], from_analytic(ref_specs["exponential"], 16385))
+    return {(kind, g.n): gaussian_convergence(kind, g, 30) for kind in TransformKind for g in grids}
+
+
+@pytest.mark.parametrize("kind", list(TransformKind), ids=[k.value for k in TransformKind])
+def test_exponential_step1_variance_converges_to_its_law(exponential_runs, kind):
+    # the window keeps the skewed step-1 tail, so the only error left is the
+    # grid's, and it shrinks under refinement
+    want = oracles.exponential_step1_variance(kind.value)
+    coarse, fine = (abs(exponential_runs[kind, n].variance[1] / want - 1.0) for n in (4097, 16385))
+    assert 16.0 * fine <= coarse
+
+
+@pytest.mark.parametrize("kind", list(TransformKind), ids=[k.value for k in TransformKind])
+def test_exponential_median_converges_to_ln2(exponential_runs, kind):
+    # every kernel fixes the CDF value 1/2, so every step's median is ln 2;
+    # median_of is O(h^3), so four times the nodes cut the error by 16 or more
+    want = oracles.MEDIANS["exponential"]
+    coarse, fine = (abs(exponential_runs[kind, n].median[30] - want) for n in (4097, 16385))
+    assert 16.0 * fine <= coarse
 
 
 def test_convergence_names_the_step_whose_variance_is_not_normal():

@@ -52,6 +52,9 @@ MATRIX: list[tuple[str, list[str]]] = [
     # 16385 nodes put the Bluestein FFTs at 16875 = 3**3 * 5**4 points, a length with no factor 2
     ("spectral-uniform-grid16385", ["spectral", "--dist", "uniform", "--grid", "16385",
                                     "--outdir", "{out}"]),
+    # the skewed step-1 tail that the re-grid window must keep is widest here
+    ("spectral-exponential-type2", ["spectral", "--dist", "exponential", "--kind", "type2",
+                                    "--outdir", "{out}"]),
     # exit 2 before any file is written: only their stderr is fingerprinted
     ("spectral-tstep-div-past-dump-cap", ["spectral", "--tstep-div", "8193", "--outdir", "{out}/sp"]),
     ("spectral-tmax-inf", ["spectral", "--tmax", "inf", "--outdir", "{out}/sp"]),
