@@ -49,6 +49,7 @@ from .spectral import (
     diagnostics_csv,
     gaussian_convergence,
     modulated_char,
+    rescaled_sup_distance,
     t_operator,
     type3_cf_identity_gap,
     uniform_closed_form_cf,
@@ -104,6 +105,7 @@ __all__ = [
     "diagnostics_csv",
     "gaussian_convergence",
     "modulated_char",
+    "rescaled_sup_distance",
     "t_operator",
     "type3_cf_identity_gap",
     "uniform_closed_form_cf",

@@ -1,15 +1,20 @@
 """The check registry: every closed-form claim the package verifies.
 
-Each suite builder evaluates one group of claims on the package's own grids
-and returns `Check` rows. `dlab verify` reports them and the acceptance tests
-read them, so both see the same numbers against the same gates. `SUITES`
-maps suite names to builders in the order `run("all")` reports them.
+Each suite is a tuple of units: zero-argument functions that evaluate one
+group of claims on the package's own grids and return `Check` rows. The
+convergence suite has one unit per family, every other suite one unit.
+`dlab verify` reports the rows and the acceptance tests read them, so both
+see the same numbers against the same gates. `SUITES` maps suite names to
+units in the order `run("all")` reports them; `dlab verify` runs the units
+on two processes and reports their rows in that same order.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -17,7 +22,7 @@ from . import residuals as res
 from . import spectral
 from .distributions import FAMILIES, DistributionSpec, median
 from .grid import GridDensity, from_analytic, simpson
-from .transforms import TransformKind, bernoulli_entropy, transform, transform_values
+from .transforms import TransformKind, bernoulli_entropy, steps, transform, transform_values
 
 # Gate on a transform's pre-renormalization mass defect |integral - 1|: the
 # `raw_integral` tolerance, and the point past which `dlab iterate` reports
@@ -111,28 +116,37 @@ def _checks_median() -> list[Check]:
     return out
 
 
-def _checks_convergence() -> list[Check]:
-    out = []
-    for family, g in _reference_grids().items():
-        d = spectral.gaussian_convergence(TransformKind.TYPE3, g, 30)
-        out.append(Check(f"{family}/sup_distance_at_30", 0.0, float(d.sup_distance[-1]), 0.05))
-        if family == "uniform":
-            expected = 1.0 / 12.0 - 1.0 / (2.0 * math.pi**2)
-            out.append(Check("uniform/step1_variance", expected, float(d.variance[1]), 1e-5))
+def _checks_convergence(family: str) -> list[Check]:
+    """One family's 30 Type III steps: the sup distance to the Gaussian at
+    the last step, and for the uniform the step-1 variance."""
+    g = from_analytic(DistributionSpec(family), 4097)
+    for k, density, _, d in steps(TransformKind.TYPE3, g, 30, follow=True):
+        if k == 1:
+            step1_variance = d.variance
+    sup = spectral.rescaled_sup_distance(density, d.mean, math.sqrt(d.variance))
+    out = [Check(f"{family}/sup_distance_at_30", 0.0, sup, 0.05)]
+    if family == "uniform":
+        expected = 1.0 / 12.0 - 1.0 / (2.0 * math.pi**2)
+        out.append(Check("uniform/step1_variance", expected, step1_variance, 1e-5))
     return out
 
 
-SUITES = {
-    "constants": _checks_constants,
-    "normalization": _checks_normalization,
-    "ode": _checks_ode,
-    "cf": _checks_cf,
-    "median": _checks_median,
-    "convergence": _checks_convergence,
+SUITES: dict[str, tuple[Callable[[], list[Check]], ...]] = {
+    "constants": (_checks_constants,),
+    "normalization": (_checks_normalization,),
+    "ode": (_checks_ode,),
+    "cf": (_checks_cf,),
+    "median": (_checks_median,),
+    "convergence": tuple(partial(_checks_convergence, family) for family in FAMILIES),
 }
+
+
+def units(suite: str) -> list[Callable[[], list[Check]]]:
+    """The units of one suite, or of every suite in order for "all"."""
+    names = list(SUITES) if suite == "all" else [suite]
+    return [unit for name in names for unit in SUITES[name]]
 
 
 def run(suite: str) -> list[Check]:
     """The checks of one suite, or of every suite in order for "all"."""
-    names = list(SUITES) if suite == "all" else [suite]
-    return [check for name in names for check in SUITES[name]()]
+    return [check for unit in units(suite) for check in unit()]

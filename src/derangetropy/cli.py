@@ -10,9 +10,10 @@ has a non-finite mean, variance or median, a `spectral` step whose variance
 is not a positive normal float, or a `spectral` --tstep-div whose comparison
 window |t| <= --tmax or CF dumps' window |t| <= 64*pi
 spectral.window_half_count rejects, before any file is written), 3 I/O error
-(including an `iterate` trace whose forked writer process fails; the line
-names what it raised, if anything).
-The checks themselves live in `derangetropy.checks`; `verify` formats them.
+(including an `iterate` trace writer or a `verify` check runner, forked
+as a second process, that fails; the line names what it raised, if
+anything). The checks themselves live in `derangetropy.checks`; `verify`
+runs their units on two processes and formats them.
 """
 
 from __future__ import annotations
@@ -22,7 +23,9 @@ import json
 import math
 import os
 import sys
+from collections.abc import Callable
 from dataclasses import asdict
+from typing import TypeVar
 
 import numpy as np
 
@@ -43,6 +46,9 @@ EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
 
+T = TypeVar("T")
+
+
 class UsageError(Exception):
     pass
 
@@ -55,12 +61,15 @@ def _parse_params(raw: str | None) -> dict[str, float]:
         if not item:
             continue
         key, sep, val = item.partition("=")
+        key = key.strip()
         if not sep:
             raise UsageError(f"--params entries must look like key=value, got {item!r}")
+        if key in out:
+            raise UsageError(f"--params names {key!r} more than once")
         try:
-            out[key.strip()] = float(val)
+            out[key] = float(val)
         except ValueError as exc:
-            raise UsageError(f"--params value for {key.strip()!r} is not a number: {val!r}") from exc
+            raise UsageError(f"--params value for {key!r} is not a number: {val!r}") from exc
     return out
 
 
@@ -87,46 +96,68 @@ def cmd_transform(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _in_two_processes(child: Callable[[], str], parent: Callable[[], T], what: str) -> tuple[str, T]:
+    """Run child() in a forked process and parent() in this one, at once, and
+    return the text child() returned and what parent() returned.
+
+    The child sends its text back through a pipe, or, if it raises, the
+    exception's type and text, and leaves only through os._exit, so it never
+    unwinds its caller's stack or flushes its copies of Python's buffers. If
+    parent() raises, the child is killed and reaped and the exception
+    propagates. A child that does not exit 0 raises OSError naming `what`,
+    how it ended, and what it raised, if anything.
+    """
+    reply_in, reply_out = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            try:
+                reply = child()
+                status = 0
+            except BaseException as exc:
+                reply = f"{type(exc).__name__}: {exc}"
+            with open(reply_out, "wb") as pipe:
+                pipe.write(reply.encode(errors="replace"))
+        finally:
+            os._exit(status)
+    os.close(reply_out)
+    with open(reply_in, "rb") as pipe:
+        try:
+            result = parent()
+        except BaseException:
+            import signal  # only on this path, so `import derangetropy.cli` loads no more modules
+
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            raise
+        # read to the end before reaping: a reply longer than the pipe's
+        # buffer blocks the child until it is read
+        reply = pipe.read().decode(errors="replace")
+    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if code != 0:
+        how = f"exited with status {code}" if code > 0 else f"was killed by signal {-code}"
+        raise OSError(f"{what} {how}" + (f": {reply}" if reply else ""))
+    return reply, result
+
+
 def _write_trace(path: str, trace: IterationTrace) -> None:
     """Write `trace_csv(trace)` to path, formatted by two processes at once.
 
     A forked child formats the first ceil(steps / 2) steps and writes them
     (header included) through the file description it shares with this
     process, while this process formats the rest; it appends them once the
-    child has exited 0. The child leaves only through os._exit, so it never
-    unwinds its caller's stack or flushes its copies of Python's buffers. A
-    child that raises sends the exception's type and text through a pipe,
-    and the OSError for its exit status ends with them.
+    child has exited 0.
     """
     split = (len(trace.steps) + 1) // 2
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        cause_in, cause_out = os.pipe()
-        pid = os.fork()
-        if pid == 0:
-            status = 1
-            try:
-                fh.write(trace_csv(trace, 0, split))
-                fh.flush()
-                status = 0
-            except BaseException as exc:
-                os.write(cause_out, f"{type(exc).__name__}: {exc}".encode(errors="replace"))
-            finally:
-                os._exit(status)
-        os.close(cause_out)
-        with open(cause_in, "rb") as cause:
-            try:
-                rest = trace_csv(trace, split)
-            except BaseException:
-                import signal  # only on this path, so `import derangetropy.cli` loads no more modules
+        def child() -> str:
+            fh.write(trace_csv(trace, 0, split))
+            fh.flush()
+            return ""
 
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-                raise
-            why = cause.read().decode(errors="replace")  # empty once the child exits without one
-        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-        if code != 0:
-            how = f"exited with status {code}" if code > 0 else f"was killed by signal {-code}"
-            raise OSError(f"the process writing steps 0-{split - 1} of {path} {how}" + (f": {why}" if why else ""))
+        _, rest = _in_two_processes(child, lambda: trace_csv(trace, split),
+                                    f"the process writing steps 0-{split - 1} of {path}")
         fh.write(rest)
 
 
@@ -158,7 +189,16 @@ def cmd_iterate(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    results = checks.run(args.suite)
+    # a forked child runs units 0, 2, 4, ... and this process 1, 3, ...; the
+    # child's rows come back as JSON, which round-trips every float exactly
+    units = checks.units(args.suite)
+    reply, own = _in_two_processes(
+        lambda: json.dumps([[asdict(c) for c in unit()] for unit in units[0::2]]),
+        lambda: [unit() for unit in units[1::2]],
+        f"the process running check units 0, 2, ... of suite {args.suite}",
+    )
+    shares = ([[checks.Check(**row) for row in rows] for rows in json.loads(reply)], own)
+    results = [c for i in range(len(units)) for c in shares[i % 2][i // 2]]
     passed = all(c.passed for c in results)
     if args.format == "csv":
         table = csv_rows(

@@ -231,8 +231,10 @@ class ConvergenceDiagnostics:
         return self.variance.shape[0] - 1
 
 
-def _rescaled_sup_distance(g: GridDensity, mean: float, sd: float,
-                           tstep: float, tmax: float) -> float:
+def rescaled_sup_distance(g: GridDensity, mean: float, sd: float, tstep: float = DEFAULT_TSTEP,
+                          tmax: float = DEFAULT_SUP_TMAX) -> float:
+    """sup |phi(t) - exp(-t^2/2)| over |t| <= tmax, where phi is the CF of g's
+    density standardized by the given mean and standard deviation."""
     k = window_half_count(tstep, tmax)
     weighted = simpson_weights(g.n, g.step) * g.values
     phi = _cf_samples(weighted, (g.lo - mean) / sd, g.step / sd, tstep, k)
@@ -257,7 +259,7 @@ def gaussian_convergence(kind: TransformKind, g: GridDensity, n: int,
         raise ValueError(f"step count must be >= 0, got {n}")
     rows = []
     for k, density, centre, d in steps(kind, g, n, follow=True):
-        sup = _rescaled_sup_distance(density, d.mean, math.sqrt(d.variance), tstep, tmax)
+        sup = rescaled_sup_distance(density, d.mean, math.sqrt(d.variance), tstep, tmax)
         rows.append((d.variance, centre + d.median, sup, 2.0 * math.pi**2 * k * d.variance))
     return ConvergenceDiagnostics(kind, *(np.array(column) for column in zip(*rows)))
 

@@ -1,4 +1,6 @@
-from derangetropy import checks
+import pytest
+
+from derangetropy import FAMILIES, TransformKind, checks, gaussian_convergence
 from derangetropy.cli import main
 
 
@@ -15,3 +17,18 @@ def test_verify_suites_are_the_registry_suites(capsys):
     assert main(["verify", "--help"]) == 0
     choices = "{" + ",".join([*checks.SUITES, "all"]) + "}"
     assert f"--suite {choices}" in capsys.readouterr().out
+
+
+@pytest.fixture(scope="module")
+def convergence_checks():
+    return {c.name: c for c in checks.run("convergence")}
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_convergence_checks_are_gaussian_convergence_rows(ref_grids, convergence_checks, family):
+    # the registry computes the sup distance only at step 30, through the
+    # function gaussian_convergence calls at every step
+    d = gaussian_convergence(TransformKind.TYPE3, ref_grids[family], 30)
+    assert convergence_checks[f"{family}/sup_distance_at_30"].observed == d.sup_distance[-1]
+    if family == "uniform":
+        assert convergence_checks["uniform/step1_variance"].observed == d.variance[1]

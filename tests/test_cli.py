@@ -9,7 +9,7 @@ import textwrap
 import numpy as np
 import pytest
 
-from derangetropy import spectral, transforms
+from derangetropy import checks, spectral, transforms
 from derangetropy.cli import main
 
 import oracles
@@ -67,6 +67,17 @@ def test_bad_params_rejected(capsys):
                                ("uniform", "a=0,b=1e-308", "'b'")):
         assert run("transform", "--dist", dist, "--params", params, "--grid", "129") == 2
         assert name in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["transform", "--dist", "exponential", "--params", "rate=1, rate=2", "--out", "{out}/t.csv"],
+    ["iterate", "--dist", "exponential", "--params", "rate=1,rate=2", "--out", "{out}/t.csv"],
+    ["spectral", "--dist", "exponential", "--params", "rate=2,rate=2", "--outdir", "{out}/sp"],
+], ids=["transform", "iterate", "spectral"])
+def test_repeated_params_key_is_usage_error(tmp_path, capsys, argv):
+    assert run(*(a.replace("{out}", str(tmp_path)) for a in argv)) == 2
+    assert capsys.readouterr().err == "error: --params names 'rate' more than once\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_io_failure_maps_to_exit_3(tmp_path, capsys):
@@ -298,6 +309,52 @@ def test_verify_csv_format(capsys):
 def test_verify_individual_suites(suite, capsys):
     assert run("verify", "--suite", suite) == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("suite", ["all", "convergence", "ode"])
+def test_verify_reports_the_registry_rows_in_order(tmp_path, suite, fmt):
+    # the units run on two processes (ode is one unit, all of it the forked
+    # child's), and their rows are merged back in registry order
+    out = tmp_path / f"report.{fmt}"
+    assert run("verify", "--suite", suite, "--format", fmt, "--out", str(out)) == 0
+    _assert_no_child_left()
+    expected = [(c.name, c.expected, c.observed, c.tolerance) for c in checks.run(suite)]
+    if fmt == "json":
+        report = json.loads(out.read_text())
+        got = [(c["name"], c["expected"], c["observed"], c["tolerance"]) for c in report["checks"]]
+    else:
+        lines = out.read_text().splitlines()[1:]
+        got = [(name, float(e), float(o), float(t)) for name, e, o, t, _ in (line.split(",") for line in lines)]
+    assert got == expected
+
+
+def _planted_unit():
+    raise RuntimeError("planted failure in a check unit")
+
+
+def _constants_unit():
+    return checks.run("constants")
+
+
+def test_verify_failed_child_unit_exits_3(tmp_path, capsys, monkeypatch):
+    # unit 0 is the forked child's share
+    monkeypatch.setitem(checks.SUITES, "ode", (_planted_unit, _constants_unit))
+    assert run("verify", "--suite", "ode", "--out", str(tmp_path / "report.json")) == 3
+    err = capsys.readouterr().err
+    assert err == ("i/o error: the process running check units 0, 2, ... of suite ode exited with status 1:"
+                   " RuntimeError: planted failure in a check unit\n")
+    assert list(tmp_path.iterdir()) == []
+    _assert_no_child_left()
+
+
+def test_verify_failed_parent_unit_reaps_the_child(tmp_path, monkeypatch):
+    # unit 1 is this process's share
+    monkeypatch.setitem(checks.SUITES, "ode", (_constants_unit, _planted_unit))
+    with pytest.raises(RuntimeError, match="planted failure"):
+        run("verify", "--suite", "ode", "--out", str(tmp_path / "report.json"))
+    assert list(tmp_path.iterdir()) == []
+    _assert_no_child_left()
 
 
 # --- spectral -------------------------------------------------------------------

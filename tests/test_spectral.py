@@ -16,13 +16,13 @@ from derangetropy import (
     gaussian_convergence,
     iterate,
     modulated_char,
-    steps,
     t_operator,
     transform,
     transform_values,
     type3_cf_identity_gap,
     uniform_closed_form_cf,
 )
+from derangetropy import transforms
 from derangetropy.grid import mean_and_variance, simpson, simpson_weights
 from derangetropy.spectral import (
     DEFAULT_SUP_TMAX,
@@ -31,7 +31,7 @@ from derangetropy.spectral import (
     _cf_samples,
     _fft_length,
     _frequencies,
-    _rescaled_sup_distance,
+    rescaled_sup_distance,
     window_half_count,
 )
 from derangetropy.transforms import RESCALE_WINDOW_SIGMAS, _regrid, _window
@@ -196,7 +196,7 @@ def test_rescaled_sup_distance_of_narrow_grid_uses_nominal_step():
     g = _narrow_ramp()
     mean, var = mean_and_variance(g)
     sd = math.sqrt(var)
-    got = _rescaled_sup_distance(g, mean, sd, DEFAULT_TSTEP, DEFAULT_SUP_TMAX)
+    got = rescaled_sup_distance(g, mean, sd, DEFAULT_TSTEP, DEFAULT_SUP_TMAX)
     ts = _frequencies(int(DEFAULT_SUP_TMAX / DEFAULT_TSTEP), DEFAULT_TSTEP)
     ys = (oracles.exact_nodes(g.lo, g.step, g.n) - np.longdouble(mean)) / np.longdouble(sd)
     phi = oracles.cf_direct(ys, simpson_weights(g.n, g.step) * g.values, ts)
@@ -325,19 +325,28 @@ def test_convergence_holds_attractor_to_sixty_steps(ref_grids, family):
 
 @pytest.mark.parametrize("family", ["exponential", "uniform"])
 @pytest.mark.parametrize("kind", list(TransformKind), ids=[k.value for k in TransformKind])
-def test_iterate_and_convergence_share_one_loop(ref_grids, family, kind):
-    # both run transforms.steps, so until the convergence loop first leaves
-    # the input grid they report the same bits; it re-grids every step after
-    # the first, so both families leave it at step 1
-    g, n = ref_grids[family], 10
-    trace = iterate(kind, g, n)
-    d = gaussian_convergence(kind, g, n)
-    first = next(k for k, density, _, _ in steps(kind, g, n, follow=True)
-                 if (density.lo, density.hi) != (g.lo, g.hi))
-    assert first >= 1
-    for k in range(first):
-        assert d.variance[k] == trace.diagnostics[k].variance, k
-        assert d.median[k] == trace.diagnostics[k].median, k
+def test_iterate_and_convergence_share_one_loop(ref_grids, family, kind, monkeypatch):
+    # both run transforms.steps, so they report the same step 0 and compute
+    # the same step 1 on the input grid; the convergence loop then hands that
+    # step to the re-grid, which sees iterate's step-1 values and mean
+    g = ref_grids[family]
+    received = []
+    real_regrid = transforms._regrid
+
+    def regrid(density, mean, lo, hi):
+        received.append((density, mean))
+        return real_regrid(density, mean, lo, hi)
+
+    monkeypatch.setattr(transforms, "_regrid", regrid)
+    trace = iterate(kind, g, 1)
+    assert received == []
+    d = gaussian_convergence(kind, g, 1)
+    assert d.variance[0] == trace.diagnostics[0].variance
+    assert d.median[0] == trace.diagnostics[0].median
+    ((density, mean),) = received
+    assert (density.lo, density.hi, density.n) == (g.lo, g.hi, g.n)
+    assert density.values.tobytes() == trace.steps[1].values.tobytes()
+    assert mean == trace.diagnostics[1].mean
 
 
 @pytest.mark.parametrize("mean, sd", [(0.1, 0.05), (0.5, 0.1)], ids=["inside", "to-upper-end"])

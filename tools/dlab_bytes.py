@@ -48,6 +48,10 @@ MATRIX: list[tuple[str, list[str]]] = [
     ("figures-fig2", ["figures", "--which", "fig2", "--outdir", "{out}"]),
     ("verify-json", ["verify", "--suite", "all", "--format", "json", "--out", "{out}/report.json"]),
     ("verify-csv", ["verify", "--suite", "all", "--format", "csv", "--out", "{out}/report.csv"]),
+    # verify runs its check units on two processes: five units, then one, which leaves this process none
+    ("verify-convergence-csv", ["verify", "--suite", "convergence", "--format", "csv",
+                                "--out", "{out}/report.csv"]),
+    ("verify-ode", ["verify", "--suite", "ode", "--out", "{out}/report.json"]),
     *((f"spectral-{kind}", ["spectral", "--kind", kind, "--outdir", "{out}"]) for kind in ("type3", "type1", "type2")),
     # 16385 nodes put the Bluestein FFTs at 16875 = 3**3 * 5**4 points, a length with no factor 2
     ("spectral-uniform-grid16385", ["spectral", "--dist", "uniform", "--grid", "16385",
