@@ -24,14 +24,14 @@ from .distributions import (
 )
 from .grid import (
     GridDensity,
+    csv_rows,
     cumulative_simpson,
-    format_value,
     from_analytic,
     integrate,
+    mean_and_variance,
     median_of,
     moment,
     simpson,
-    variance,
 )
 from .residuals import (
     IcCheck,
@@ -74,56 +74,3 @@ from .transforms import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "FAMILIES",
-    "DistributionSpec",
-    "cdf",
-    "effective_support",
-    "has_singular_endpoint",
-    "median",
-    "pdf",
-    "GridDensity",
-    "cumulative_simpson",
-    "format_value",
-    "from_analytic",
-    "integrate",
-    "median_of",
-    "moment",
-    "simpson",
-    "variance",
-    "IcCheck",
-    "ResidualReport",
-    "residual_type1",
-    "residual_type2",
-    "residual_type3",
-    "CharFunction",
-    "ConvergenceDiagnostics",
-    "cf_csv",
-    "cf_of_values",
-    "char_function",
-    "diagnostics_csv",
-    "gaussian_convergence",
-    "modulated_char",
-    "rescaled_sup_distance",
-    "t_operator",
-    "type3_cf_identity_gap",
-    "uniform_closed_form_cf",
-    "TYPE1_CONSTANT",
-    "TYPE2_CONSTANT",
-    "IterationTrace",
-    "StepDiagnostics",
-    "TransformKind",
-    "TransformStep",
-    "bernoulli_entropy",
-    "iterate",
-    "kernel",
-    "log_derivative_grid",
-    "steps",
-    "trace_csv",
-    "trace_diagnostics_json",
-    "transform",
-    "transform_step",
-    "transform_values",
-    "__version__",
-]

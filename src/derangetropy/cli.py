@@ -2,18 +2,23 @@
 
 Subcommands: transform, iterate, verify, spectral, figures. All outputs are
 deterministic data files (CSV with 17-significant-digit values, or JSON), so
-identical flags produce byte-identical bytes. Exit codes: 0 success, 1 a
-verification check failed (or, after both files are written, an `iterate`
-step whose mass defect passed the registry's gate or whose variance is not a
-positive normal float), 2 usage error (or an `iterate` step that overflows or
-has a non-finite mean, variance or median, a `spectral` step whose variance
-is not a positive normal float, or a `spectral` --tstep-div whose comparison
-window |t| <= --tmax or CF dumps' window |t| <= 64*pi
-spectral.window_half_count rejects, before any file is written), 3 I/O error
-(including an `iterate` trace writer or a `verify` check runner, forked
-as a second process, that fails; the line names what it raised, if
-anything). The checks themselves live in `derangetropy.checks`; `verify`
-runs their units on two processes and formats them.
+identical flags produce byte-identical bytes. Exit codes:
+
+* 0: success.
+* 1: a verification check failed; or, after both files are written, an
+  `iterate` step's mass defect passed the registry's gate or its variance is
+  not a positive normal float.
+* 2: usage error. Before any file is written, this includes an `iterate` step
+  that overflows or has a non-finite mean, variance or median, a `spectral`
+  step whose variance is not a positive normal float, and a `spectral`
+  --tstep-div whose comparison window |t| <= --tmax or CF dumps' window
+  |t| <= 64*pi spectral.window_half_count rejects.
+* 3: I/O error. This includes an `iterate` trace writer or a `verify` check
+  runner, forked as a second process, that fails or cannot be started; the
+  line names what it raised, if anything.
+
+The checks themselves live in `derangetropy.checks`; `verify` runs their
+units on two processes and formats them.
 """
 
 from __future__ import annotations
@@ -105,13 +110,20 @@ def _in_two_processes(child: Callable[[], str], parent: Callable[[], T], what: s
     unwinds its caller's stack or flushes its copies of Python's buffers. If
     parent() raises, the child is killed and reaped and the exception
     propagates. A child that does not exit 0 raises OSError naming `what`,
-    how it ended, and what it raised, if anything.
+    how it ended, and what it raised, if anything; so does a failed fork,
+    after closing the pipe.
     """
     reply_in, reply_out = os.pipe()
-    pid = os.fork()
+    try:
+        pid = os.fork()
+    except OSError as exc:
+        os.close(reply_in)
+        os.close(reply_out)
+        raise OSError(f"could not start {what}: {exc}") from exc
     if pid == 0:
         status = 1
         try:
+            os.close(reply_in)  # so a write to a parent that died fails instead of blocking
             try:
                 reply = child()
                 status = 0

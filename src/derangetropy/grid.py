@@ -187,10 +187,6 @@ def mean_and_variance(g: GridDensity) -> tuple[float, float]:
     return mean, _weighted_sum(w, (x - mean) ** 2)
 
 
-def variance(g: GridDensity) -> float:
-    return mean_and_variance(g)[1]
-
-
 def median_of(g: GridDensity) -> float:
     """Location where the grid CDF crosses 1/2.
 
@@ -228,20 +224,15 @@ def median_of(g: GridDensity) -> float:
     return min(x0 + (0.5 - y0) * h / (y1 - y0), x1)
 
 
-def format_value(v: float) -> str:
-    """Fixed 17-significant-digit rendering of one CSV cell, as csv_rows writes it."""
-    return f"{v:.17g}"
-
-
 def csv_rows(*columns) -> str:
     """Equal-length columns as comma-separated lines, each ending in a newline.
 
     This is the only CSV writer: numeric columns are numpy arrays whose cells
-    read exactly as format_value renders them; any other column is a sequence of
-    ready-made strings and passes through unchanged. Callers prepend the
-    header line. All cells are formatted by one `%` on a row template built
-    from the column types (`%.17g` or `%s`) and repeated once per row;
-    `"%.17g" % v` and `format_value(v)` run the same float-to-string routine.
+    are written as `%.17g`, 17 significant digits, which read back as the same
+    float; any other column is a sequence of ready-made strings and passes
+    through unchanged. Callers prepend the header line. All cells are
+    formatted by one `%` on a row template built from the column types
+    (`%.17g` or `%s`) and repeated once per row.
     """
     row = ",".join("%.17g" if isinstance(col, np.ndarray) else "%s" for col in columns) + "\n"
     cells = zip(*(col.tolist() if isinstance(col, np.ndarray) else col for col in columns))

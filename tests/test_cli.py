@@ -1,3 +1,4 @@
+import errno
 import json
 import math
 import os
@@ -355,6 +356,51 @@ def test_verify_failed_parent_unit_reaps_the_child(tmp_path, monkeypatch):
         run("verify", "--suite", "ode", "--out", str(tmp_path / "report.json"))
     assert list(tmp_path.iterdir()) == []
     _assert_no_child_left()
+
+
+# --- the fork helper --------------------------------------------------------------
+
+
+def _refuse_fork():
+    raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+
+@pytest.mark.parametrize("argv, what, written", [
+    (["iterate", "--grid", "129", "--n", "1", "--out", "{tmp}/t.csv"],
+     "the process writing steps 0-0 of {tmp}/t.csv", ["t.csv"]),
+    (["verify", "--suite", "ode", "--out", "{tmp}/report.json"],
+     "the process running check units 0, 2, ... of suite ode", []),
+], ids=["iterate", "verify"])
+def test_failed_fork_exits_3_and_closes_the_pipe(tmp_path, capsys, monkeypatch, argv, what, written):
+    # the trace file is opened before the fork, so it is left empty; the
+    # sidecar and the report are never written
+    monkeypatch.setattr(os, "fork", _refuse_fork)
+    fds = len(os.listdir("/proc/self/fd"))
+    assert run(*(a.replace("{tmp}", str(tmp_path)) for a in argv)) == 3
+    assert len(os.listdir("/proc/self/fd")) == fds
+    what = what.replace("{tmp}", str(tmp_path))
+    assert capsys.readouterr().err == (f"i/o error: could not start {what}:"
+                                       f" [Errno {errno.EAGAIN}] {os.strerror(errno.EAGAIN)}\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == written
+    assert all(p.stat().st_size == 0 for p in tmp_path.iterdir())
+
+
+def test_two_processes_return_a_reply_longer_than_the_pipe_buffer():
+    # ~1.5 MB of UTF-8, far past a pipe's buffer: if the helper reaped the
+    # child before reading its reply, both would block and the timeout fails
+    # the test instead of hanging the run
+    probe = textwrap.dedent("""
+        from derangetropy.cli import _in_two_processes
+        text = "".join(f"{i}:\\u00e9\\u2192\\U0001d53c;" for i in range(100_000))
+        reply, own = _in_two_processes(lambda: text, lambda: "parent", "the probe's child")
+        assert own == "parent"
+        assert reply == text, (len(reply), len(text))
+        print(len(text.encode()))
+    """)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) > 1_400_000
 
 
 # --- spectral -------------------------------------------------------------------

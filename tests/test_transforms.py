@@ -323,7 +323,7 @@ def test_trace_csv_layout():
 
 
 def _trace_csv_reference(trace):
-    # row by row, each numeric cell as format_value renders it
+    # row by row, each numeric cell as `%.17g` renders it
     return "step,x,f,F\n" + "".join(
         f"{k},{x:.17g},{f:.17g},{F:.17g}\n"
         for k, g in enumerate(trace.steps)

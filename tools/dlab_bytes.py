@@ -3,8 +3,8 @@
 Runs every case below with the package imported from SRC (default: the
 `src/` next to this file), each in its own directory under one temporary
 directory, and prints one `sha256 exit-code path` line per output file,
-plus one for each run's stderr. Two runs of the same tree print the same
-lines, so
+plus one for each run's stderr and one for its stdout if it is not empty.
+Two runs of the same tree print the same lines, so
 
     python tools/dlab_bytes.py /path/to/old/src > old.txt
     python tools/dlab_bytes.py > new.txt
@@ -68,6 +68,9 @@ MATRIX: list[tuple[str, list[str]]] = [
     ("transform-uniform-collapsed-nodes", ["transform", "--dist", "uniform", "--params",
                                            "a=1e17,b=1.0000000000000002e17", "--grid", "129",
                                            "--out", "{out}/t.csv"]),
+    # without --out the table goes to stdout, which is fingerprinted too
+    ("transform-exponential-type2-stdout", ["transform", "--dist", "exponential", "--kind", "type2"]),
+    ("verify-constants-csv-stdout", ["verify", "--suite", "constants", "--format", "csv"]),
 ]
 
 
@@ -76,7 +79,7 @@ def _sha256(data: bytes) -> str:
 
 
 def run_case(src: str, root: str, name: str, argv: list[str]) -> list[str]:
-    """Run one case and return its fingerprint lines, stderr first, then files in path order."""
+    """Run one case and return its fingerprint lines: stderr, stdout if any, then files in path order."""
     out = os.path.join(root, name)
     os.makedirs(out)
     env = {**os.environ, "PYTHONPATH": src}
@@ -87,6 +90,8 @@ def run_case(src: str, root: str, name: str, argv: list[str]) -> list[str]:
     # a message naming a file names it inside the temporary root, which differs per run
     stderr = proc.stderr.replace(root.encode(), b"<root>")
     lines = [f"{_sha256(stderr)} {proc.returncode} {name}/stderr"]
+    if proc.stdout:
+        lines.append(f"{_sha256(proc.stdout)} {proc.returncode} {name}/stdout")
     files = []
     for dirpath, _, filenames in os.walk(out):
         files.extend(os.path.join(dirpath, f) for f in filenames)
