@@ -24,13 +24,15 @@ units on two processes and formats them.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
 import sys
-from collections.abc import Callable
+import tempfile
+from collections.abc import Callable, Iterator
 from dataclasses import asdict
-from typing import TypeVar
+from typing import TextIO, TypeVar
 
 import numpy as np
 
@@ -85,11 +87,35 @@ def _build_grid(family: str, params: str | None, n: int) -> GridDensity:
         raise UsageError(str(exc)) from exc
 
 
+@contextlib.contextmanager
+def _replacing(path: str) -> Iterator[TextIO]:
+    """Yield a text file on a new temporary name beside path, with the mode that
+    open(path, "w") gives a new file, not mkstemp's 0600. Rename it onto path once
+    the block has finished, or remove it if the block raises; errors name path."""
+    try:
+        fd, tmp = tempfile.mkstemp(prefix=os.path.basename(path) + ".", dir=os.path.dirname(path) or os.curdir)
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from None
+    try:
+        with open(fd, "w", encoding="ascii", newline="\n") as fh:
+            umask = os.umask(0)  # setting the umask is the only way to read it
+            os.umask(umask)
+            os.fchmod(fd, 0o666 & ~umask)
+            yield fh
+        try:
+            os.replace(tmp, path)
+        except OSError as exc:
+            raise OSError(exc.errno, exc.strerror, path) from None
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def _write_text(path: str | None, text: str) -> None:
     if path is None:
         sys.stdout.write(text)
         return
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
+    with _replacing(path) as fh:
         fh.write(text)
 
 
@@ -159,10 +185,10 @@ def _write_trace(path: str, trace: IterationTrace) -> None:
     A forked child formats the first ceil(steps / 2) steps and writes them
     (header included) through the file description it shares with this
     process, while this process formats the rest; it appends them once the
-    child has exited 0.
+    child has exited 0, and only then does the file replace path.
     """
     split = (len(trace.steps) + 1) // 2
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
+    with _replacing(path) as fh:
         def child() -> str:
             fh.write(trace_csv(trace, 0, split))
             fh.flush()

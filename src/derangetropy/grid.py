@@ -110,9 +110,8 @@ class GridDensity:
         return np.linspace(self.lo, self.hi, self.n)
 
     @cached_property
-    def _cdf_and_mass(self) -> tuple[np.ndarray, float]:
-        """The running CDF at the nodes and the cumulative total it is
-        divided by, computed together on first access and kept.
+    def cdf(self) -> np.ndarray:
+        """Running CDF at the nodes, pinned to exactly 1 at the last; built once, read-only.
 
         The raw cumulative rule can dip on adversarial (non-smooth) inputs
         because the half-panel parabola is not monotone in its data, so a
@@ -126,18 +125,7 @@ class GridDensity:
             raise ValueError(f"cannot build a CDF from a density with cumulative mass {total}")
         cdf = raw / total
         cdf.setflags(write=False)
-        return cdf, total
-
-    @property
-    def cdf(self) -> np.ndarray:
-        """Running CDF at the nodes, pinned to exactly 1 at the last; read-only."""
-        return self._cdf_and_mass[0]
-
-    @property
-    def cdf_mass(self) -> float:
-        """The cumulative total that `cdf` is divided by: values / cdf_mass
-        is the density whose running integral `cdf` is."""
-        return self._cdf_and_mass[1]
+        return cdf
 
 
 def from_analytic(spec: DistributionSpec, n: int) -> GridDensity:
@@ -190,38 +178,21 @@ def mean_and_variance(g: GridDensity) -> tuple[float, float]:
 def median_of(g: GridDensity) -> float:
     """Location where the grid CDF crosses 1/2.
 
-    Inside the bracketing panel the CDF is modeled with a linear density,
-    F(x0 + t) = F0 + f0 t + (f1 - f0) t^2 / (2h), and the quadratic is solved
-    for t. That keeps the inversion error at O(h^3); plain linear
-    interpolation of F is only O(h^2), which is visible in refinement checks.
-    f0 and f1 are the node values divided by `g.cdf_mass`, the total that
-    divides the CDF, so the median does not depend on the scale of the values.
+    In the crossing panel [x0, x1] the density is modeled as linear from f0
+    to f1 and scaled so that its CDF meets the grid CDF at both nodes: with
+    u = (x - x0)/(x1 - x0), p = f0/(f0 + f1) and r = (1/2 - F0)/(F1 - F0), the
+    median solves (1 - 2p) u^2 + 2p u = r, an O(h^3) inversion where linear
+    interpolation of F (left for f0 + f1 = 0) is O(h^2). Only ratios enter.
     """
-    F, xs = g.cdf, g.xs
-    # F[0] is exactly 0 and F[-1] exactly 1, so 1 <= i < n and F[i-1] < 1/2 <= F[i]
-    i = int(np.searchsorted(F, 0.5))
-    x0, x1 = float(xs[i - 1]), float(xs[i])
-    y0, y1 = float(F[i - 1]), float(F[i])
-    h = x1 - x0
-    # solve for u = t/s with s a power of two near h: the rescaling is exact,
-    # so the root is unchanged, and f*s stays finite where f*f would overflow
-    s = math.ldexp(1.0, math.frexp(h)[1])
-    hs = h / s
-    f0, f1 = float(g.values[i - 1]) / g.cdf_mass * s, float(g.values[i]) / g.cdf_mass * s
-    a = 0.5 * (f1 - f0) / hs
-    b = f0
-    cc = y0 - 0.5
-    disc = b * b - 4.0 * a * cc
-    if disc > 0.0 and (abs(a) * hs > 1e-14 * max(b, 1e-300 * s)):
-        # stable quadratic formula; the root moving continuously from the
-        # a -> 0 limit -c/b is the one built from -b - sign(b)*sqrt(disc);
-        # disc > 0 keeps q nonzero (a tiny 4ac can underflow to disc = 0 at b = 0)
-        q = -0.5 * (b + math.copysign(math.sqrt(disc), b))
-        for u in (cc / q, q / a):
-            if -1e-12 * hs <= u <= hs * (1.0 + 1e-12):
-                return x0 + min(max(u, 0.0), hs) * s
-    # at F[i] == 1/2 the ratio can round past 1, which would put x past x1
-    return min(x0 + (0.5 - y0) * h / (y1 - y0), x1)
+    # the CDF starts at exactly 0 and ends at exactly 1, so 1 <= i < n and y0 < 1/2 <= y1
+    i = int(np.searchsorted(g.cdf, 0.5))
+    (x0, x1), (y0, y1), (f0, f1) = (a[i - 1 : i + 1].tolist() for a in (g.xs, g.cdf, g.values))
+    # f0 + f1 is finite, as the CDF's panel sum f0 + 4 f1 or 4 f0 + f1 was
+    p, q = (f0 / (f0 + f1), f1 / (f0 + f1)) if f0 + f1 > 0.0 else (0.5, 0.5)
+    r, s = (0.5 - y0) / (y1 - y0), (y1 - 0.5) / (y1 - y0)
+    # p^2 + (1 - 2p) r as p^2 s + q^2 r: no cancellation, never below 0; r > 0
+    u = r / (p + math.sqrt(p * p * s + q * q * r))
+    return min(x0 + u * (x1 - x0), x1)  # u can round past 1 by an ulp
 
 
 def csv_rows(*columns) -> str:

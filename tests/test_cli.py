@@ -243,6 +243,16 @@ def _assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
+_EARLIER = b"the bytes of an earlier run\n"
+
+
+def _assert_earlier_output_kept(path):
+    # the new file is written under a temporary name, which is removed on
+    # failure, so path keeps its bytes and nothing else is left beside it
+    assert sorted(p.name for p in path.parent.iterdir()) == [path.name]
+    assert path.read_bytes() == _EARLIER
+
+
 @pytest.mark.parametrize("action, how, cause", [
     (_raise, "exited with status 1", ": RuntimeError: planted failure formatting step 1\n"),
     (_kill_self, "was killed by signal 9", "was killed by signal 9\n"),
@@ -251,20 +261,23 @@ def test_iterate_failed_writer_process_exits_3(tmp_path, capsys, monkeypatch, ac
     # --n 2 gives steps 0..2; the forked process formats steps 0 and 1 and
     # names what it raised; a killed one leaves nothing to name
     _plant_in_formatter(monkeypatch, {"1"}, action)
+    (tmp_path / "t.csv").write_bytes(_EARLIER)
     assert run("iterate", "--grid", "129", "--n", "2", "--out", str(tmp_path / "t.csv")) == 3
     err = capsys.readouterr().err
     assert err.startswith("i/o error: the process writing steps 0-1 of ") and err.count("\n") == 1
     assert how in err
     assert err.endswith(cause)
-    assert not (tmp_path / "t.diagnostics.json").exists()
+    _assert_earlier_output_kept(tmp_path / "t.csv")
     _assert_no_child_left()
 
 
 def test_iterate_failed_formatting_reaps_the_writer_process(tmp_path, monkeypatch):
     # step 2 is this process's half; the writer process is killed and reaped
     _plant_in_formatter(monkeypatch, {"2"}, _raise)
+    (tmp_path / "t.csv").write_bytes(_EARLIER)
     with pytest.raises(RuntimeError, match="step 2"):
         run("iterate", "--grid", "129", "--n", "2", "--out", str(tmp_path / "t.csv"))
+    _assert_earlier_output_kept(tmp_path / "t.csv")
     _assert_no_child_left()
 
 
@@ -280,6 +293,20 @@ def test_iterate_writer_process_never_unwinds_the_caller(tmp_path):
     assert log.read_text().splitlines() == [str(os.getpid())]
     assert (tmp_path / "t.csv").read_text().count("\n") == 1 + 4 * 129
     _assert_no_child_left()
+
+
+def test_outputs_get_the_mode_of_a_new_file(tmp_path):
+    # each file is written under a temporary name and renamed onto --out; it
+    # gets the mode open(path, "w") gives a new file, not mkstemp's 0600
+    umask = os.umask(0o027)
+    try:
+        assert run("transform", "--grid", "129", "--out", str(tmp_path / "t.csv")) == 0
+        assert run("iterate", "--grid", "129", "--n", "1", "--out", str(tmp_path / "i.csv")) == 0
+    finally:
+        os.umask(umask)
+    names = sorted(p.name for p in tmp_path.iterdir())
+    assert names == ["i.csv", "i.diagnostics.json", "t.csv"]
+    assert all((tmp_path / name).stat().st_mode & 0o777 == 0o640 for name in names)
 
 
 # --- verify ---------------------------------------------------------------------
@@ -365,24 +392,24 @@ def _refuse_fork():
     raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
 
 
-@pytest.mark.parametrize("argv, what, written", [
+@pytest.mark.parametrize("argv, what, out", [
     (["iterate", "--grid", "129", "--n", "1", "--out", "{tmp}/t.csv"],
-     "the process writing steps 0-0 of {tmp}/t.csv", ["t.csv"]),
+     "the process writing steps 0-0 of {tmp}/t.csv", "t.csv"),
     (["verify", "--suite", "ode", "--out", "{tmp}/report.json"],
-     "the process running check units 0, 2, ... of suite ode", []),
+     "the process running check units 0, 2, ... of suite ode", "report.json"),
 ], ids=["iterate", "verify"])
-def test_failed_fork_exits_3_and_closes_the_pipe(tmp_path, capsys, monkeypatch, argv, what, written):
-    # the trace file is opened before the fork, so it is left empty; the
-    # sidecar and the report are never written
+def test_failed_fork_exits_3_and_closes_the_pipe(tmp_path, capsys, monkeypatch, argv, what, out):
+    # the trace's temporary file is open at the fork and is removed; the
+    # sidecar and the report are never written, so an earlier --out is kept
     monkeypatch.setattr(os, "fork", _refuse_fork)
+    (tmp_path / out).write_bytes(_EARLIER)
     fds = len(os.listdir("/proc/self/fd"))
     assert run(*(a.replace("{tmp}", str(tmp_path)) for a in argv)) == 3
     assert len(os.listdir("/proc/self/fd")) == fds
     what = what.replace("{tmp}", str(tmp_path))
     assert capsys.readouterr().err == (f"i/o error: could not start {what}:"
                                        f" [Errno {errno.EAGAIN}] {os.strerror(errno.EAGAIN)}\n")
-    assert sorted(p.name for p in tmp_path.iterdir()) == written
-    assert all(p.stat().st_size == 0 for p in tmp_path.iterdir())
+    _assert_earlier_output_kept(tmp_path / out)
 
 
 def test_two_processes_return_a_reply_longer_than_the_pipe_buffer():

@@ -268,14 +268,22 @@ def test_median_of_matches_closed_form(family, ref_grids):
 
 @pytest.mark.parametrize("factor", [3.0, 2.0**40, 2.0**-40], ids=["3", "2^40", "2^-40"])
 def test_median_of_does_not_depend_on_the_scale_of_the_values(factor, ref_grids):
-    # the CDF is divided by its cumulative total, and so are the densities
-    # of the bracketing panel's quadratic: a power of two keeps every bit
+    # the CDF is divided by its cumulative total, and the panel model reads
+    # only the ratios f0/(f0 + f1): a power of two keeps every bit
     g = ref_grids["exponential"]
     scaled = median_of(GridDensity(g.lo, g.hi, g.values * factor))
     if factor == 3.0:
         assert scaled == pytest.approx(median_of(g), abs=1e-14)
     else:
         assert scaled == median_of(g)
+
+
+def test_median_of_is_the_node_where_the_cdf_is_one_half():
+    # step 3 makes Simpson's step/3 and step/12 exact, so the symmetric values
+    # put F[64] at exactly 1/2, and the panel model must return that node
+    g = GridDensity(0.0, 384.0, np.array([1.0 + min(j, 128 - j) ** 2 for j in range(129)]))
+    assert g.cdf[64] == 0.5
+    assert median_of(g) == 192.0
 
 
 @st.composite
@@ -303,20 +311,35 @@ def adversarial_densities(draw):
 
 
 # spikes at odd nodes 3 and 101 put F[50] 4e-12 below 1/2, and node 51 holds
-# a subnormal: b = 0 there and 4ac underflows, so disc is exactly 0 and only
-# the linear fallback is left
+# a subnormal: the crossing panel's densities are 0 and 4e-314, whose
+# products with anything below 1 underflow
 _UNDERFLOWING_DISCRIMINANT = np.zeros(129)
 _UNDERFLOWING_DISCRIMINANT[[3, 51, 101]] = [1e-303, 4e-314, 1e-303 * (1 + 1.6e-11) - 4e-314]
 
 
-# a symmetric bump puts F[64] at exactly 1/2; on a span this narrow the
-# linear fallback's (0.5 - F[63]) * h / (F[64] - F[63]) rounds past h
+# a symmetric bump on a span of 1e-125 puts F[64] at exactly 1/2, so
+# r = (1/2 - F0)/(F1 - F0) is exactly 1 on a panel 8e-128 wide
 _SYMMETRIC_BUMP = (1.0 + ((np.linspace(0.0, 1.0, 129) - 0.5) / 0.1) ** 2) ** -2.0
+
+
+# spikes at odd nodes 63 and 101, the second a hair lighter, put F[64] just
+# above 1/2 and F[63] near 1/4: the crossing panel has f1 = 0 next to f0 > 0,
+# so p = f0/(f0 + f1) is 1 and r = (1/2 - F0)/(F1 - F0) is a hair below 1
+_CROSSING_INTO_A_ZERO = np.zeros(129)
+_CROSSING_INTO_A_ZERO[[63, 101]] = [1.0, 1.0 - 1e-12]
+
+
+# these values put F[64] at exactly 1/2 on nodes that place it at x = 0, but
+# f0/(f0 + f1) + f1/(f0 + f1) rounds below 1, so u rounds to 1 + 2^-52 and
+# x0 + u * h lands at 8.9e-16, past x1 = 0, unless it is held at x1
+_NODE_AT_ZERO = (1.0 + np.minimum(np.arange(129), 128 - np.arange(129)) ** 2) * 1.6257203041080541
 
 
 @given(grid=adversarial_densities())
 @example(grid=(0.0, 128.0, _UNDERFLOWING_DISCRIMINANT))
 @example(grid=(-5e-126, 5e-126, _SYMMETRIC_BUMP))
+@example(grid=(-64.0, 64.0, _CROSSING_INTO_A_ZERO))
+@example(grid=(-192.0, 192.0, _NODE_AT_ZERO))
 @settings(max_examples=300, deadline=None)
 def test_median_of_stays_in_its_bracket(grid):
     # the facts median_of relies on instead of guards: F starts at exactly 0

@@ -4,7 +4,10 @@ Runs every case below with the package imported from SRC (default: the
 `src/` next to this file), each in its own directory under one temporary
 directory, and prints one `sha256 exit-code path` line per output file,
 plus one for each run's stderr and one for its stdout if it is not empty.
-Two runs of the same tree print the same lines, so
+A first line names the numpy build and the SIMD level its float64 `exp`
+and `log` loops run at: the bytes hold for one numpy build on one CPU at
+one SIMD level, so a diff across hosts that differ there is not a change.
+Two runs of the same tree on the same host print the same lines, so
 
     python tools/dlab_bytes.py /path/to/old/src > old.txt
     python tools/dlab_bytes.py > new.txt
@@ -74,6 +77,21 @@ MATRIX: list[tuple[str, list[str]]] = [
 ]
 
 
+# run in a child with the cases' environment, so this tool needs no numpy
+# and reports what NPY_DISABLE_CPU_FEATURES leaves switched on
+BUILD_PROBE = """
+import numpy
+try:
+    from numpy.lib.introspect import opt_func_info
+except ImportError:  # numpy 1.x cannot say
+    levels = "unknown"
+else:
+    info = opt_func_info(func_name="^(exp|log)$", signature="float64")
+    levels = ", ".join(f"{name} {loop['current']}" for name, loops in info.items() for loop in loops.values())
+print(f"# numpy {numpy.__version__}; float64 loops: {levels}")
+"""
+
+
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -111,6 +129,9 @@ def main(argv: list[str] | None = None) -> int:
     src = os.path.abspath(args.src)
     if not os.path.isdir(os.path.join(src, "derangetropy")):
         parser.error(f"no derangetropy package under {src}")
+    probe = subprocess.run([sys.executable, "-c", BUILD_PROBE], env={**os.environ, "PYTHONPATH": src},
+                           capture_output=True, text=True, check=True)
+    print(probe.stdout, end="", flush=True)
     with tempfile.TemporaryDirectory(prefix="dlab_bytes_") as root:
         for name, case_argv in MATRIX:
             for line in run_case(src, root, name, case_argv):
