@@ -33,13 +33,7 @@ from .grid import (
     moment,
     simpson,
 )
-from .residuals import (
-    IcCheck,
-    ResidualReport,
-    residual_type1,
-    residual_type2,
-    residual_type3,
-)
+from .residuals import IcCheck, ResidualReport, residual
 from .spectral import (
     CharFunction,
     ConvergenceDiagnostics,

@@ -69,7 +69,7 @@ def _checks_normalization() -> list[Check]:
 
 def _checks_ode() -> list[Check]:
     out = []
-    for report in (res.residual_type1(), res.residual_type2(), res.residual_type3()):
+    for report in map(res.residual, TransformKind):
         out.append(Check(f"{report.kind.value}/max_abs_residual", 0.0, report.max_abs_residual, 1e-8))
         for ic in report.ic_checks:
             # relative tolerance against the expected limit; absolute at zero

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
 import json
 import math
 import os
@@ -93,6 +94,8 @@ def _replacing(path: str) -> Iterator[TextIO]:
     open(path, "w") gives a new file, not mkstemp's 0600. Rename it onto path once
     the block has finished, or remove it if the block raises; errors name path."""
     try:
+        if os.path.isdir(path):  # no file can replace it, so fail before anything is written
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
         fd, tmp = tempfile.mkstemp(prefix=os.path.basename(path) + ".", dir=os.path.dirname(path) or os.curdir)
     except OSError as exc:
         raise OSError(exc.errno, exc.strerror, path) from None
@@ -179,24 +182,23 @@ def _in_two_processes(child: Callable[[], str], parent: Callable[[], T], what: s
     return reply, result
 
 
-def _write_trace(path: str, trace: IterationTrace) -> None:
-    """Write `trace_csv(trace)` to path, formatted by two processes at once.
+def _write_trace(fh: TextIO, path: str, trace: IterationTrace) -> None:
+    """Write `trace_csv(trace)` into fh, path's new file, by two processes at once.
 
-    A forked child formats the first ceil(steps / 2) steps and writes them
-    (header included) through the file description it shares with this
-    process, while this process formats the rest; it appends them once the
-    child has exited 0, and only then does the file replace path.
+    A forked child formats the first ceil(steps / 2) steps (header included)
+    and writes them through the file description it shares with this process,
+    which formats the rest and appends them once the child has exited 0.
     """
     split = (len(trace.steps) + 1) // 2
-    with _replacing(path) as fh:
-        def child() -> str:
-            fh.write(trace_csv(trace, 0, split))
-            fh.flush()
-            return ""
 
-        _, rest = _in_two_processes(child, lambda: trace_csv(trace, split),
-                                    f"the process writing steps 0-{split - 1} of {path}")
-        fh.write(rest)
+    def child() -> str:
+        fh.write(trace_csv(trace, 0, split))
+        fh.flush()
+        return ""
+
+    _, rest = _in_two_processes(child, lambda: trace_csv(trace, split),
+                                f"the process writing steps 0-{split - 1} of {path}")
+    fh.write(rest)
 
 
 def cmd_iterate(args: argparse.Namespace) -> int:
@@ -209,9 +211,12 @@ def cmd_iterate(args: argparse.Namespace) -> int:
         trace = iterate(TransformKind(args.kind), g, args.n)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    _write_trace(args.out, trace)
     root, _ = os.path.splitext(args.out)
-    _write_text(root + ".diagnostics.json", trace_diagnostics_json(trace))
+    # the sidecar replaces its path before the trace does, so a run that
+    # cannot write it keeps the earlier trace
+    with _replacing(args.out) as fh:
+        _write_trace(fh, args.out, trace)
+        _write_text(root + ".diagnostics.json", trace_diagnostics_json(trace))
     for k, d in enumerate(trace.diagnostics):
         if not d.integral_error <= checks.MASS_TOLERANCE:
             problem = (f"integralError {d.integral_error:.3g} exceeds {checks.MASS_TOLERANCE:g};"

@@ -1,6 +1,6 @@
 import pytest
 
-from derangetropy import FAMILIES, TransformKind, checks, gaussian_convergence
+from derangetropy import FAMILIES, TransformKind, checks, gaussian_convergence, transforms
 from derangetropy.cli import main
 
 
@@ -17,6 +17,14 @@ def test_verify_suites_are_the_registry_suites(capsys):
     assert main(["verify", "--help"]) == 0
     choices = "{" + ",".join([*checks.SUITES, "all"]) + "}"
     assert f"--suite {choices}" in capsys.readouterr().out
+
+
+def test_ode_suite_checks_the_package_kernel_rows(monkeypatch):
+    # a Type III row with the modulation dropped, 2 sin(pi z), solves no
+    # third-order equation of the suite; its residual must be reported red
+    monkeypatch.setitem(transforms._KERNELS, TransformKind.TYPE3, (2.0, 1, 0.0))
+    failed = [c.name for c in checks.run("ode") if not c.passed]
+    assert "type3/max_abs_residual" in failed
 
 
 @pytest.fixture(scope="module")

@@ -271,6 +271,31 @@ def test_iterate_failed_writer_process_exits_3(tmp_path, capsys, monkeypatch, ac
     _assert_no_child_left()
 
 
+def test_iterate_unwritable_sidecar_keeps_the_earlier_trace(tmp_path, capsys):
+    # both files are written under temporary names and the sidecar replaces
+    # its path first, so a directory in its place leaves the earlier trace
+    trace, sidecar = tmp_path / "t.csv", tmp_path / "t.diagnostics.json"
+    trace.write_bytes(_EARLIER)
+    sidecar.mkdir()
+    assert run("iterate", "--grid", "129", "--n", "2", "--out", str(trace)) == 3
+    assert capsys.readouterr().err.startswith("i/o error: ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == [trace.name, sidecar.name]
+    assert trace.read_bytes() == _EARLIER
+    assert list(sidecar.iterdir()) == []
+    _assert_no_child_left()
+
+
+def test_iterate_into_a_directory_writes_nothing(tmp_path, capsys):
+    # no file can replace a directory, so iterate fails before the sidecar
+    # replaces its path
+    out = tmp_path / "t.csv"
+    out.mkdir()
+    assert run("iterate", "--grid", "129", "--n", "1", "--out", str(out)) == 3
+    assert capsys.readouterr().err == f"i/o error: [Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: {str(out)!r}\n"
+    assert [p.name for p in tmp_path.iterdir()] == [out.name]
+    _assert_no_child_left()
+
+
 def test_iterate_failed_formatting_reaps_the_writer_process(tmp_path, monkeypatch):
     # step 2 is this process's half; the writer process is killed and reaped
     _plant_in_formatter(monkeypatch, {"2"}, _raise)
@@ -644,3 +669,37 @@ def test_outputs_do_not_depend_on_blas_thread_count(tmp_path):
     assert sorted(outputs["1"]) == ["report.json", "trace.csv", "trace.diagnostics.json"]
     for name, data in outputs["1"].items():
         assert outputs["2"][name] == data, name
+
+
+def test_numbers_do_not_depend_on_the_simd_level(tmp_path):
+    # numpy's AVX-512 and AVX2 loops for exp and log round some inputs 1 ulp
+    # away from its baseline loops. A Type I/II transform takes one exp per
+    # pdf cell and one exp and two logs per kernel cell, then about ten
+    # products, quotients and positive sums, each carrying at most a few ulps
+    # of those seeds; so every cell must agree within 16 ulps across levels.
+    pytest.importorskip("numpy.lib.introspect")
+    child = textwrap.dedent("""
+        from numpy.lib.introspect import opt_func_info
+        from derangetropy.cli import main
+        info = opt_func_info(func_name="^(exp|log)$", signature="float64")
+        print(sorted(loop["current"] for loops in info.values() for loop in loops.values()))
+        for kind in ("type1", "type2"):
+            assert main(["transform", "--dist", "exponential", "--kind", kind, "--out", kind + ".csv"]) == 0
+    """)
+    levels, tables = {}, {}
+    for name, disabled in (("default", ""), ("baseline", "X86_V4 X86_V3")):
+        cwd = tmp_path / name
+        cwd.mkdir()
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path), "NPY_DISABLE_CPU_FEATURES": disabled}
+        proc = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True, env=env, cwd=cwd)
+        assert proc.returncode == 0, proc.stderr
+        levels[name] = proc.stdout
+        tables[name] = {kind: np.loadtxt(cwd / f"{kind}.csv", delimiter=",", skiprows=1)
+                        for kind in ("type1", "type2")}
+    if levels["default"] == levels["baseline"]:
+        pytest.skip(f"the float64 exp and log loops run at {levels['default'].strip()} either way")
+    for kind, a in tables["default"].items():
+        b = tables["baseline"][kind]
+        assert a.shape == b.shape
+        ulps = np.abs(a - b) / np.spacing(np.maximum(np.abs(a), np.abs(b)))
+        assert ulps.max() <= 16, (kind, ulps.max(axis=0))
