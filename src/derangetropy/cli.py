@@ -294,9 +294,8 @@ def cmd_spectral(args: argparse.Namespace) -> int:
 
 
 def cmd_figures(args: argparse.Namespace) -> int:
-    outdir = args.outdir if args.outdir is not None else args.which
-    os.makedirs(outdir, exist_ok=True)
-    for family in FAMILIES:
+    tables = {}
+    for family in FAMILIES:  # all of them before the directory, so a failing run creates nothing
         g = _build_grid(family, None, args.grid)
         if args.which == "fig1":
             header = "x,f,rho,tau\n"
@@ -306,8 +305,11 @@ def cmd_figures(args: argparse.Namespace) -> int:
             header = "x,f,nu1,nu2\n"
             a = transform(TransformKind.TYPE3, g)
             b = transform(TransformKind.TYPE3, a)
-        table = csv_rows(g.xs, g.values, a.values, b.values)
-        _write_text(os.path.join(outdir, f"{family}.csv"), header + table)
+        tables[family] = header + csv_rows(g.xs, g.values, a.values, b.values)
+    outdir = args.outdir if args.outdir is not None else args.which
+    os.makedirs(outdir, exist_ok=True)
+    for family, text in tables.items():
+        _write_text(os.path.join(outdir, f"{family}.csv"), text)
     return EXIT_OK
 
 

@@ -51,19 +51,19 @@ def test_bad_params_rejected(capsys):
     capsys.readouterr()
     assert run("transform", "--dist", "normal", "--params", "stddev=inf") == 2
     assert "'stddev'" in capsys.readouterr().err
-    # r^2 underflows to 0 in the semicircle's 2/(pi r^2)
-    assert run("transform", "--dist", "semicircle", "--params", "radius=1e-170") == 2
+    # the pdf divides by the radius, whose reciprocal overflows here
+    assert run("transform", "--dist", "semicircle", "--params", "radius=1e-320") == 2
     assert "'radius'" in capsys.readouterr().err
     # 129 nodes between two adjacent floats would collapse onto two x values
     assert run("transform", "--dist", "uniform", "--params", "a=1e17,b=1.0000000000000002e17",
                "--grid", "129") == 2
     assert "'a'" in capsys.readouterr().err
-    # the pdf's normalizer overflows: 1/(stddev sqrt(2 pi)) and 1/(b - a)
+    # the pdf divides by the scale, whose reciprocal overflows: 1/stddev and 1/(b - a)
     assert run("transform", "--dist", "normal", "--params", "stddev=1e-320", "--grid", "129") == 2
     assert "'stddev'" in capsys.readouterr().err
     assert run("transform", "--dist", "uniform", "--params", "a=0,b=1e-310", "--grid", "129") == 2
     assert "'b'" in capsys.readouterr().err
-    # the normalizer is finite but the cumulative rule's panel sums overflow
+    # the scale's reciprocal is finite but the cumulative rule's panel sums overflow
     for dist, params, name in (("exponential", "rate=2e307", "'rate'"), ("normal", "stddev=1e-308", "'stddev'"),
                                ("uniform", "a=0,b=1e-308", "'b'")):
         assert run("transform", "--dist", dist, "--params", params, "--grid", "129") == 2
@@ -590,6 +590,13 @@ def test_figures_fig2(tmp_path):
     assert data[int(np.argmax(data[:, 3])), 0] == pytest.approx(0.0, abs=data[1, 0] - data[0, 0])
 
 
+def test_figures_bad_grid_creates_no_outdir(tmp_path, capsys):
+    # a failing run writes nothing, not even the directory it would have filled
+    assert run("figures", "--grid", "64", "--outdir", str(tmp_path / "out")) == 2
+    assert "odd" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_figures_default_outdir_named_after_panel(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert run("figures", "--which", "fig2", "--grid", "257") == 0
@@ -671,12 +678,22 @@ def test_outputs_do_not_depend_on_blas_thread_count(tmp_path):
         assert outputs["2"][name] == data, name
 
 
+def _ulps(a, b, scale):
+    """|a - b| in units in the last place of scale."""
+    return np.abs(np.asarray(a) - np.asarray(b)) / np.spacing(np.abs(scale))
+
+
 def test_numbers_do_not_depend_on_the_simd_level(tmp_path):
     # numpy's AVX-512 and AVX2 loops for exp and log round some inputs 1 ulp
     # away from its baseline loops. A Type I/II transform takes one exp per
     # pdf cell and one exp and two logs per kernel cell, then about ten
     # products, quotients and positive sums, each carrying at most a few ulps
     # of those seeds; so every cell must agree within 16 ulps across levels.
+    # A step of `iterate` or `spectral` is such a transform and carries the
+    # earlier steps' error forward, so step k may differ by 16 (k + 1) ulps of
+    # its scale: a density column's peak, the value itself for moments and
+    # medians, and 1 for quantities that cancel against 1 (the mass defect,
+    # the sup distance, the CF cells, which a density of mass 1 bounds by 1).
     pytest.importorskip("numpy.lib.introspect")
     child = textwrap.dedent("""
         from numpy.lib.introspect import opt_func_info
@@ -685,8 +702,12 @@ def test_numbers_do_not_depend_on_the_simd_level(tmp_path):
         print(sorted(loop["current"] for loops in info.values() for loop in loops.values()))
         for kind in ("type1", "type2"):
             assert main(["transform", "--dist", "exponential", "--kind", kind, "--out", kind + ".csv"]) == 0
+        # a non-default rate takes the pdf through its change of variable, exp(-x / scale)
+        dist = ["--dist", "exponential", "--kind", "type2", "--params", "rate=2.5"]
+        assert main(["iterate", *dist, "--n", "6", "--out", "trace.csv"]) == 0
+        assert main(["spectral", *dist, "--n", "30", "--outdir", "sp"]) == 0
     """)
-    levels, tables = {}, {}
+    levels, outputs = {}, {}
     for name, disabled in (("default", ""), ("baseline", "X86_V4 X86_V3")):
         cwd = tmp_path / name
         cwd.mkdir()
@@ -694,12 +715,44 @@ def test_numbers_do_not_depend_on_the_simd_level(tmp_path):
         proc = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True, env=env, cwd=cwd)
         assert proc.returncode == 0, proc.stderr
         levels[name] = proc.stdout
-        tables[name] = {kind: np.loadtxt(cwd / f"{kind}.csv", delimiter=",", skiprows=1)
-                        for kind in ("type1", "type2")}
+        csvs = ["type1.csv", "type2.csv", "trace.csv", *(f"sp/{p.name}" for p in sorted((cwd / "sp").iterdir()))]
+        outputs[name] = {path: np.loadtxt(cwd / path, delimiter=",", skiprows=1) for path in csvs}
+        outputs[name]["sidecar"] = json.loads((cwd / "trace.diagnostics.json").read_text())
     if levels["default"] == levels["baseline"]:
         pytest.skip(f"the float64 exp and log loops run at {levels['default'].strip()} either way")
-    for kind, a in tables["default"].items():
-        b = tables["baseline"][kind]
-        assert a.shape == b.shape
-        ulps = np.abs(a - b) / np.spacing(np.maximum(np.abs(a), np.abs(b)))
+    a, b = outputs["default"], outputs["baseline"]
+    assert sorted(a) == sorted(b)
+    for kind in ("type1.csv", "type2.csv"):
+        assert a[kind].shape == b[kind].shape
+        ulps = _ulps(a[kind], b[kind], np.maximum(np.abs(a[kind]), np.abs(b[kind])))
         assert ulps.max() <= 16, (kind, ulps.max(axis=0))
+    # trace.csv: step, x, f, F; each step's columns against their peak
+    assert a["trace.csv"].shape == b["trace.csv"].shape == (7 * 4097, 4)
+    for k, (ta, tb) in enumerate(zip(np.split(a["trace.csv"], 7), np.split(b["trace.csv"], 7))):
+        ulps = _ulps(ta, tb, np.abs(ta).max(axis=0))
+        assert ulps.max() <= 16 * (k + 1), ("trace.csv", k, ulps.max(axis=0))
+    for k, (ra, rb) in enumerate(zip(a["sidecar"], b["sidecar"], strict=True)):
+        assert ra.keys() == rb.keys() and ra["step"] == rb["step"] == k
+        for key in ("mean", "variance", "median"):
+            assert _ulps(ra[key], rb[key], ra[key]) <= 16 * (k + 1), ("sidecar", k, key)
+        assert _ulps(ra["integralError"], rb["integralError"], 1.0) <= 16 * (k + 1), ("sidecar", k)
+    # diagnostics.csv: n, variance, median, sup_distance, rate_product = 2 pi^2 n variance
+    da, db = a["sp/diagnostics.csv"], b["sp/diagnostics.csv"]
+    assert da.shape == db.shape == (31, 5)
+    scale = np.where(np.arange(5) == 3, 1.0, np.abs(da))
+    ulps = _ulps(da, db, scale)
+    assert np.all(ulps <= 16 * (da[:, :1] + 1)), ("diagnostics.csv", ulps.max(axis=0))
+    # The source's CF is one step. The shift operator forms v(t) - (v(t + 2 pi)
+    # + v(t - 2 pi))/2, which at most doubles an absolute error; renormalizing
+    # divides by the raw value at t = 0, c, each raw file's largest cell here,
+    # which at most doubles it again and divides it by |c|.
+    for shifts in range(3):
+        path = f"sp/cf_shift_step{shifts}_raw.csv" if shifts else "sp/cf_source.csv"
+        bound = 16 * 2**shifts
+        raw = a[path]
+        assert raw.shape == b[path].shape and _ulps(raw, b[path], 1.0).max() <= bound, path
+        if shifts:
+            c = np.abs(raw[raw[:, 0] == 0.0, 1:]).max()
+            assert c == np.abs(raw[:, 1:]).max()
+            path = path.replace("raw", "renormalized")
+            assert _ulps(a[path], b[path], 1.0).max() <= 2 * bound / c, path

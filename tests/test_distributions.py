@@ -207,3 +207,13 @@ def test_parameterized_families():
     assert effective_support(s) == (-3.0, 3.0)
     g = from_analytic(s, 513)
     assert integrate(g) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("a,b", [(-3.0, 0.1), (-1.0, 1e-17)])
+@pytest.mark.parametrize("family", ["uniform", "arcsine"])
+def test_interval_families_keep_their_ends_exactly(family, a, b):
+    # a + (b - a) rounds: to 0.10000000000000009 and to 0.0 for these ends,
+    # so the support and the median must come from a and b themselves
+    s = DistributionSpec(family, {"a": a, "b": b})
+    assert effective_support(s) == (a, b)
+    assert median(s) == (a + b) / 2

@@ -74,6 +74,10 @@ MATRIX: list[tuple[str, list[str]]] = [
     # without --out the table goes to stdout, which is fingerprinted too
     ("transform-exponential-type2-stdout", ["transform", "--dist", "exponential", "--kind", "type2"]),
     ("verify-constants-csv-stdout", ["verify", "--suite", "constants", "--format", "csv"]),
+    # each family's pdf at parameters other than its defaults, through its loc and scale
+    *((f"transform-{fam}-params", ["transform", "--dist", fam, "--params", params, "--out", "{out}/t.csv"])
+      for fam, params in (("uniform", "a=-3,b=0.1"), ("semicircle", "center=0.25,radius=3"),
+                          ("arcsine", "a=-1,b=2"))),
 ]
 
 
