@@ -10,9 +10,8 @@ identical flags produce byte-identical bytes. Exit codes:
   not a positive normal float.
 * 2: usage error. Before any file is written, this includes an `iterate` step
   that overflows or has a non-finite mean, variance or median, a `spectral`
-  step whose variance is not a positive normal float, and a `spectral`
-  --tstep-div whose comparison window |t| <= --tmax or CF dumps' window
-  |t| <= 64*pi spectral.window_half_count rejects.
+  step whose variance is not a positive normal float, and a `spectral` --tmax
+  whose comparison window spectral.window_half_count rejects.
 * 3: I/O error. This includes an `iterate` trace writer or a `verify` check
   runner, forked as a second process, that fails or cannot be started; the
   line names what it raised, if anything.
@@ -27,7 +26,6 @@ import argparse
 import contextlib
 import errno
 import json
-import math
 import os
 import sys
 import tempfile
@@ -89,37 +87,65 @@ def _build_grid(family: str, params: str | None, n: int) -> GridDensity:
 
 
 @contextlib.contextmanager
-def _replacing(path: str) -> Iterator[TextIO]:
-    """Yield a text file on a new temporary name beside path, with the mode that
-    open(path, "w") gives a new file, not mkstemp's 0600. Rename it onto path once
-    the block has finished, or remove it if the block raises; errors name path."""
+def _replacing(*paths: str) -> Iterator[list[TextIO]]:
+    """Yield one text file per path, each on a new temporary name beside its
+    path, with the mode that open(path, "w") gives a new file, not mkstemp's
+    0600. Once the block has finished, close them all and rename each onto its
+    path in order; if anything fails first, remove every one not yet renamed,
+    so a run that fails before its renames keeps every path's earlier bytes.
+    A path that is a directory fails before any file is created, since no
+    file can replace it. Errors name the path."""
+    def named(exc: OSError, path: str) -> OSError:
+        return OSError(exc.errno, exc.strerror, path)
+
+    for path in paths:
+        if os.path.isdir(path):
+            raise OSError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    umask = os.umask(0)  # setting the umask is the only way to read it
+    os.umask(umask)
+    files: list[TextIO] = []
+    temps: list[str] = []
+    renamed = 0
     try:
-        if os.path.isdir(path):  # no file can replace it, so fail before anything is written
-            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
-        fd, tmp = tempfile.mkstemp(prefix=os.path.basename(path) + ".", dir=os.path.dirname(path) or os.curdir)
-    except OSError as exc:
-        raise OSError(exc.errno, exc.strerror, path) from None
-    try:
-        with open(fd, "w", encoding="ascii", newline="\n") as fh:
-            umask = os.umask(0)  # setting the umask is the only way to read it
-            os.umask(umask)
+        for path in paths:
+            try:
+                fd, tmp = tempfile.mkstemp(prefix=os.path.basename(path) + ".",
+                                           dir=os.path.dirname(path) or os.curdir)
+            except OSError as exc:
+                raise named(exc, path) from None
+            temps.append(tmp)
+            files.append(open(fd, "w", encoding="ascii", newline="\n"))
             os.fchmod(fd, 0o666 & ~umask)
-            yield fh
-        try:
-            os.replace(tmp, path)
-        except OSError as exc:
-            raise OSError(exc.errno, exc.strerror, path) from None
+        yield files
+        for fh in files:
+            fh.close()
+        for path, tmp in zip(paths, temps):
+            try:
+                os.replace(tmp, path)
+            except OSError as exc:
+                raise named(exc, path) from None
+            renamed += 1
     except BaseException:
-        os.unlink(tmp)
+        for fh in files:
+            with contextlib.suppress(OSError):
+                fh.close()
+        for tmp in temps[renamed:]:
+            os.unlink(tmp)
         raise
+
+
+def _write_files(texts: dict[str, str]) -> None:
+    """Write each text to its path, all through one `_replacing`."""
+    with _replacing(*texts) as files:
+        for fh, text in zip(files, texts.values()):
+            fh.write(text)
 
 
 def _write_text(path: str | None, text: str) -> None:
     if path is None:
         sys.stdout.write(text)
-        return
-    with _replacing(path) as fh:
-        fh.write(text)
+    else:
+        _write_files({path: text})
 
 
 def cmd_transform(args: argparse.Namespace) -> int:
@@ -212,11 +238,9 @@ def cmd_iterate(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     root, _ = os.path.splitext(args.out)
-    # the sidecar replaces its path before the trace does, so a run that
-    # cannot write it keeps the earlier trace
-    with _replacing(args.out) as fh:
+    with _replacing(root + ".diagnostics.json", args.out) as (sidecar, fh):
         _write_trace(fh, args.out, trace)
-        _write_text(root + ".diagnostics.json", trace_diagnostics_json(trace))
+        sidecar.write(trace_diagnostics_json(trace))
     for k, d in enumerate(trace.diagnostics):
         if not d.integral_error <= checks.MASS_TOLERANCE:
             problem = (f"integralError {d.integral_error:.3g} exceeds {checks.MASS_TOLERANCE:g};"
@@ -262,34 +286,27 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_spectral(args: argparse.Namespace) -> int:
     if args.n < 0:
         raise UsageError(f"spectral requires --n >= 0, got {args.n}")
-    if args.tstep_div < 1:
-        raise UsageError(f"spectral requires --tstep-div >= 1, got {args.tstep_div}")
-    for window, tmax in ((f"the comparison window --tmax {args.tmax}", args.tmax),
-                         ("the CF dumps' window |t| <= 64*pi", spectral.DEFAULT_TMAX)):
-        try:
-            tstep = math.tau / args.tstep_div
-            spectral.window_half_count(tstep, tmax)
-        except (OverflowError, ValueError) as exc:
-            raise UsageError(f"spectral --tstep-div {args.tstep_div} with {window}: {exc}") from exc
+    try:
+        spectral.window_half_count(spectral.DEFAULT_TSTEP, args.tmax)
+    except ValueError as exc:
+        raise UsageError(f"spectral --tmax {args.tmax}: {exc}") from exc
     g = _build_grid(args.dist, args.params, args.grid)
     try:
-        diag = spectral.gaussian_convergence(TransformKind(args.kind), g, args.n, tmax=args.tmax, tstep=tstep)
+        diag = spectral.gaussian_convergence(TransformKind(args.kind), g, args.n, tmax=args.tmax)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    outdir = args.outdir if args.outdir is not None else "spectral"
-    os.makedirs(outdir, exist_ok=True)
-    _write_text(os.path.join(outdir, "diagnostics.csv"), spectral.diagnostics_csv(diag))
-    phi0 = spectral.char_function(g, tstep=tstep)
-    _write_text(os.path.join(outdir, "cf_source.csv"), spectral.cf_csv(phi0))
+    phi = spectral.char_function(g)
+    texts = {"diagnostics.csv": spectral.diagnostics_csv(diag), "cf_source.csv": spectral.cf_csv(phi)}
     # the shift operator sequence, raw and renormalized to 1 at t=0, so the
     # non-preservation of normalization is visible in the emitted data
-    current = phi0
     for step in (1, 2):
-        current = spectral.t_operator(current)
-        _write_text(os.path.join(outdir, f"cf_shift_step{step}_raw.csv"), spectral.cf_csv(current))
-        scale = current.at_zero()
-        renorm = spectral.CharFunction(current.tstep, current.values / scale)
-        _write_text(os.path.join(outdir, f"cf_shift_step{step}_renormalized.csv"), spectral.cf_csv(renorm))
+        phi = spectral.t_operator(phi)
+        texts[f"cf_shift_step{step}_raw.csv"] = spectral.cf_csv(phi)
+        renorm = spectral.CharFunction(phi.tstep, phi.values / phi.at_zero())
+        texts[f"cf_shift_step{step}_renormalized.csv"] = spectral.cf_csv(renorm)
+    outdir = args.outdir if args.outdir is not None else "spectral"
+    os.makedirs(outdir, exist_ok=True)
+    _write_files({os.path.join(outdir, name): text for name, text in texts.items()})
     return EXIT_OK
 
 
@@ -308,8 +325,7 @@ def cmd_figures(args: argparse.Namespace) -> int:
         tables[family] = header + csv_rows(g.xs, g.values, a.values, b.values)
     outdir = args.outdir if args.outdir is not None else args.which
     os.makedirs(outdir, exist_ok=True)
-    for family, text in tables.items():
-        _write_text(os.path.join(outdir, f"{family}.csv"), text)
+    _write_files({os.path.join(outdir, f"{family}.csv"): text for family, text in tables.items()})
     return EXIT_OK
 
 
@@ -347,11 +363,8 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--n", type=int, default=30, metavar="K")
     p.add_argument("--tmax", type=float, default=spectral.DEFAULT_SUP_TMAX,
-                   help="half-width of the Gaussian-comparison frequency window;"
-                        f" finite, > 0 and at most {spectral.MAX_HALF_COUNT} steps of tstep")
-    p.add_argument("--tstep-div", type=int, default=64, metavar="D",
-                   help="tstep = 2*pi/D, D >= 1; the CF dumps span |t| <= 64*pi,"
-                        f" which must also be at most {spectral.MAX_HALF_COUNT} steps of tstep")
+                   help="half-width of the Gaussian-comparison frequency window, from 1 to"
+                        f" {spectral.MAX_HALF_COUNT} steps of tstep = 2*pi/64; the CF dumps span |t| <= 64*pi")
     p.add_argument("--outdir", default=None)
     p.set_defaults(func=cmd_spectral)
 

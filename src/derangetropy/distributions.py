@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from types import MappingProxyType
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -95,11 +96,12 @@ class DistributionSpec:
     Parameters not supplied fall back to the family's defaults (the
     unit-interval and unit-scale members of each family). Every parameter
     must be finite, and the scale they set a positive float whose
-    reciprocal is finite too, since the pdf divides by it.
+    reciprocal is finite too, since the pdf divides by it. The validated
+    parameters are stored read-only, so they stay valid.
     """
 
     family: str
-    params: dict[str, float] = field(default_factory=dict)
+    params: Mapping[str, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         row = _FAMILIES.get(self.family)
@@ -109,7 +111,7 @@ class DistributionSpec:
         if unknown:
             raise ValueError(f"unknown parameters {sorted(unknown)} for family {self.family!r}")
         merged = {**row.defaults, **{k: float(v) for k, v in self.params.items()}}
-        object.__setattr__(self, "params", merged)
+        object.__setattr__(self, "params", MappingProxyType(merged))
         for name, value in merged.items():
             if not math.isfinite(value):
                 raise ValueError(f"{self.family} parameter {name!r} must be finite, got {value}")

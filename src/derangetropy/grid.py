@@ -150,7 +150,7 @@ def from_analytic(spec: DistributionSpec, n: int) -> GridDensity:
         g = GridDensity(lo, hi, f)
         g.cdf  # the pdf can be finite where the cumulative rule's panel sums overflow
     except ValueError as exc:
-        raise ValueError(f"{spec.family} parameters {spec.params} are out of range: {exc}") from exc
+        raise ValueError(f"{spec.family} parameters {dict(spec.params)} are out of range: {exc}") from exc
     return g
 
 

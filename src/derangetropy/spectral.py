@@ -81,13 +81,15 @@ class CharFunction:
 
 
 def window_half_count(tstep: float, tmax: float) -> int:
-    """K = floor(tmax/tstep) of the window t = k*tstep, |k| <= K, at most
-    MAX_HALF_COUNT."""
+    """K = floor(tmax/tstep) of the window t = k*tstep, |k| <= K, at least 1,
+    so the window holds a nonzero frequency, and at most MAX_HALF_COUNT."""
     if not (0 < tstep < math.inf and 0 < tmax < math.inf):
         raise ValueError("tstep and tmax must be finite and positive")
     k = tmax / tstep + 1e-9
     if not k < MAX_HALF_COUNT + 1:
         raise ValueError(f"tmax/tstep = {k:.6g} exceeds the cap of {MAX_HALF_COUNT} frequencies per side")
+    if k < 1:
+        raise ValueError(f"tmax/tstep = {k:.6g} is below 1, so the window holds no frequency but t = 0")
     return int(math.floor(k))
 
 

@@ -523,19 +523,16 @@ def test_spectral_rejects_negative_n(tmp_path, capsys):
     capsys.readouterr()
 
 
-# the first rejected values past the CF window cap: the dump window of 32*D
-# frequencies per side, and the comparison window of floor(tmax*D/(2*pi)) at
-# the default D = 64
-_FIRST_WIDE_TSTEP_DIV = spectral.MAX_HALF_COUNT // 32 + 1
+# the first --tmax past the CF window cap at tstep = 2*pi/64
 _FIRST_WIDE_TMAX = (spectral.MAX_HALF_COUNT + 1) * math.tau / 64.0
 
 
 @pytest.mark.parametrize("flag,value", [
-    ("--tstep-div", "0"), ("--tstep-div", "-64"), ("--tmax", "inf"), ("--tmax", "nan"),
-    pytest.param("--tstep-div", str(_FIRST_WIDE_TSTEP_DIV), id="--tstep-div-first-past-cap"),
-    pytest.param("--tstep-div", str(10**401), id="--tstep-div-10**401"),
+    ("--tmax", "inf"), ("--tmax", "nan"),
     pytest.param("--tmax", repr(_FIRST_WIDE_TMAX), id="--tmax-first-past-cap"),
     ("--tmax", "1e300"),
+    # narrower than one step of 2*pi/64: the window would hold only t = 0
+    ("--tmax", "0.05"),
 ])
 def test_spectral_rejects_bad_frequency_window(tmp_path, capsys, flag, value):
     outdir = tmp_path / "sp"
@@ -546,13 +543,21 @@ def test_spectral_rejects_bad_frequency_window(tmp_path, capsys, flag, value):
     assert not outdir.exists()
 
 
-def test_spectral_dump_window_error_names_the_dump_window(tmp_path, capsys):
-    # the default --tmax fits; only the CF dumps' window |t| <= 64*pi is past the cap
-    assert run("spectral", "--tstep-div", str(_FIRST_WIDE_TSTEP_DIV), "--grid", "129", "--n", "2",
-               "--outdir", str(tmp_path / "sp")) == 2
-    err = capsys.readouterr().err
-    assert "CF dumps' window" in err
-    assert "--tmax" not in err
+def test_spectral_has_no_tstep_div_flag(tmp_path, capsys):
+    # every CF is sampled at tstep = 2*pi/64, so the step is not a flag
+    outdir = tmp_path / "sp"
+    assert run("spectral", "--tstep-div", "64", "--grid", "129", "--n", "2", "--outdir", str(outdir)) == 2
+    assert "unrecognized arguments: --tstep-div 64" in capsys.readouterr().err
+    assert not outdir.exists()
+
+
+def test_spectral_cf_dumps_span_64_pi(tmp_path):
+    # |t| <= 64*pi at tstep = 2*pi/64 is 2048 frequencies per side
+    outdir = tmp_path / "sp"
+    assert run("spectral", "--grid", "129", "--n", "0", "--outdir", str(outdir)) == 0
+    t = np.loadtxt(outdir / "cf_source.csv", delimiter=",", skiprows=1)[:, 0]
+    assert t.shape == (2 * 2048 + 1,)
+    assert t[-1] == 2048 * spectral.DEFAULT_TSTEP == -t[0]
 
 
 def test_spectral_accepts_the_widest_comparison_window(tmp_path):
@@ -595,6 +600,29 @@ def test_figures_bad_grid_creates_no_outdir(tmp_path, capsys):
     assert run("figures", "--grid", "64", "--outdir", str(tmp_path / "out")) == 2
     assert "odd" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv, blocked", [
+    (["spectral", "--grid", "129", "--n", "2"], "cf_source.csv"),
+    (["figures", "--grid", "129"], "normal.csv"),
+], ids=["spectral", "figures"])
+def test_unwritable_later_file_keeps_every_earlier_file(tmp_path, capsys, argv, blocked):
+    # every file of a run is written under a temporary name and none is
+    # renamed onto its path until all are complete, so a directory in place
+    # of a later file leaves each earlier file's bytes and nothing beside them
+    outdir = tmp_path / "out"
+    assert run(*argv, "--outdir", str(outdir)) == 0
+    names = sorted(p.name for p in outdir.iterdir())
+    for name in names:
+        (outdir / name).write_bytes(_EARLIER)
+    (outdir / blocked).unlink()
+    (outdir / blocked).mkdir()
+    assert run(*argv, "--outdir", str(outdir)) == 3
+    err = capsys.readouterr().err
+    assert err == f"i/o error: [Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: {str(outdir / blocked)!r}\n"
+    assert sorted(p.name for p in outdir.iterdir()) == names
+    assert all((outdir / name).read_bytes() == _EARLIER for name in names if name != blocked)
+    assert list((outdir / blocked).iterdir()) == []
 
 
 def test_figures_default_outdir_named_after_panel(tmp_path, monkeypatch):

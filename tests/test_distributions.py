@@ -64,6 +64,15 @@ def test_spec_immutable(ref_specs):
         ref_specs["uniform"].family = "normal"  # type: ignore[misc]
 
 
+def test_validated_params_stay_read_only():
+    # a parameter changed after validation would reach pdf unchecked
+    s = DistributionSpec("uniform")
+    with pytest.raises(TypeError):
+        s.params["b"] = -1.0  # type: ignore[index]
+    assert s.params == {"a": 0.0, "b": 1.0}
+    assert np.array_equal(pdf(s, [-0.5, 0.5]), [0.0, 1.0])
+
+
 @pytest.mark.parametrize("family", ["uniform", "semicircle", "arcsine"])
 def test_pdf_zero_outside_bounded_support(family, ref_specs):
     spec = ref_specs[family]

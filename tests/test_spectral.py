@@ -87,6 +87,14 @@ def test_window_half_count_is_capped():
             char_function(from_analytic(DistributionSpec("uniform"), 129), tmax=tmax)
 
 
+def test_window_half_count_holds_a_nonzero_frequency():
+    # one step is the narrowest window; a narrower one holds only t = 0
+    assert window_half_count(DEFAULT_TSTEP, DEFAULT_TSTEP) == 1
+    for tmax in (0.05, 0.999 * DEFAULT_TSTEP):
+        with pytest.raises(ValueError, match="below 1"):
+            window_half_count(DEFAULT_TSTEP, tmax)
+
+
 # --- quadrature CFs -----------------------------------------------------------
 
 

@@ -63,7 +63,7 @@ MATRIX: list[tuple[str, list[str]]] = [
     ("spectral-exponential-type2", ["spectral", "--dist", "exponential", "--kind", "type2",
                                     "--outdir", "{out}"]),
     # exit 2 before any file is written: only their stderr is fingerprinted
-    ("spectral-tstep-div-past-dump-cap", ["spectral", "--tstep-div", "8193", "--outdir", "{out}/sp"]),
+    ("spectral-tmax-below-one-step", ["spectral", "--tmax", "0.05", "--outdir", "{out}/sp"]),
     ("spectral-tmax-inf", ["spectral", "--tmax", "inf", "--outdir", "{out}/sp"]),
     # the iteration stops at step 0, whose variance underflows to 0
     ("spectral-variance-underflow", ["spectral", "--dist", "exponential", "--params", "rate=1e307",
