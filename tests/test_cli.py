@@ -528,7 +528,11 @@ _FIRST_WIDE_TMAX = (spectral.MAX_HALF_COUNT + 1) * math.tau / 64.0
 
 
 @pytest.mark.parametrize("flag,value", [
-    ("--tmax", "inf"), ("--tmax", "nan"),
+    # every CF is sampled at tstep = 2*pi/64, so the step is not a flag and
+    # argparse rejects any step divisor, including ones past the dump cap
+    ("--tstep-div", "0"), ("--tstep-div", "-64"), ("--tmax", "inf"), ("--tmax", "nan"),
+    pytest.param("--tstep-div", str(spectral.MAX_HALF_COUNT // 32 + 1), id="--tstep-div-first-past-cap"),
+    pytest.param("--tstep-div", str(10**401), id="--tstep-div-10**401"),
     pytest.param("--tmax", repr(_FIRST_WIDE_TMAX), id="--tmax-first-past-cap"),
     ("--tmax", "1e300"),
     # narrower than one step of 2*pi/64: the window would hold only t = 0
@@ -538,16 +542,11 @@ def test_spectral_rejects_bad_frequency_window(tmp_path, capsys, flag, value):
     outdir = tmp_path / "sp"
     assert run("spectral", flag, value, "--grid", "129", "--n", "2", "--outdir", str(outdir)) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
-    assert flag in err
-    assert not outdir.exists()
-
-
-def test_spectral_has_no_tstep_div_flag(tmp_path, capsys):
-    # every CF is sampled at tstep = 2*pi/64, so the step is not a flag
-    outdir = tmp_path / "sp"
-    assert run("spectral", "--tstep-div", "64", "--grid", "129", "--n", "2", "--outdir", str(outdir)) == 2
-    assert "unrecognized arguments: --tstep-div 64" in capsys.readouterr().err
+    if flag == "--tstep-div":
+        assert f"unrecognized arguments: {flag} {value}\n" in err
+    else:
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert flag in err
     assert not outdir.exists()
 
 
