@@ -91,12 +91,12 @@ def _checks_cf() -> list[Check]:
             out.append(Check(f"{family}/modulated_{label}_at_zero", 0.0, abs(phi.at_zero()), 1e-6))
     uni = grids["uniform"]
     nu = transform_values(TransformKind.TYPE3, uni)
-    phi_nu = spectral.cf_of_values(uni, nu, spectral.DEFAULT_TSTEP, tmax)
+    phi_nu = spectral.cf_of_values(uni, nu, tmax)
     closed = spectral.uniform_closed_form_cf(phi_nu.ts)
     out.append(Check("uniform/closed_form_match", 0.0, float(np.max(np.abs(phi_nu.values - closed))), 1e-6))
     phi0 = spectral.char_function(uni)
     one = spectral.t_operator(phi0)
-    raw_cf = spectral.cf_of_values(uni, nu, spectral.DEFAULT_TSTEP, one.tmax)
+    raw_cf = spectral.cf_of_values(uni, nu, one.tmax)
     out.append(Check("uniform/t_operator_vs_raw_cf", 0.0, float(np.max(np.abs(one.values - raw_cf.values))), 1e-6))
     two = spectral.t_operator(one)
     out.append(Check("uniform/t_operator_twice_at_zero", 1.5, two.at_zero().real, 1e-9))

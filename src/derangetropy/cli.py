@@ -287,7 +287,7 @@ def cmd_spectral(args: argparse.Namespace) -> int:
     if args.n < 0:
         raise UsageError(f"spectral requires --n >= 0, got {args.n}")
     try:
-        spectral.window_half_count(spectral.DEFAULT_TSTEP, args.tmax)
+        spectral.window_half_count(args.tmax)
     except ValueError as exc:
         raise UsageError(f"spectral --tmax {args.tmax}: {exc}") from exc
     g = _build_grid(args.dist, args.params, args.grid)
@@ -302,7 +302,7 @@ def cmd_spectral(args: argparse.Namespace) -> int:
     for step in (1, 2):
         phi = spectral.t_operator(phi)
         texts[f"cf_shift_step{step}_raw.csv"] = spectral.cf_csv(phi)
-        renorm = spectral.CharFunction(phi.tstep, phi.values / phi.at_zero())
+        renorm = spectral.CharFunction(phi.values / phi.at_zero())
         texts[f"cf_shift_step{step}_renormalized.csv"] = spectral.cf_csv(renorm)
     outdir = args.outdir if args.outdir is not None else "spectral"
     os.makedirs(outdir, exist_ok=True)

@@ -1,11 +1,12 @@
 """Characteristic functions and spectral diagnostics.
 
-CFs are sampled on a symmetric frequency grid t = k*tstep with 2*pi/tstep an
-integer, so the shift-by-2*pi operator is an exact index offset. The module
-provides the plain and phase-modulated CFs of a grid density, the three-term
-decomposition identity satisfied by the phase-modulated transform, the closed
-form for the uniform case, and the Gaussianization diagnostics of the iterated
-transform (empirically rescaled CF against exp(-t^2/2)).
+Every CF is sampled on one symmetric frequency grid, t = k*DEFAULT_TSTEP with
+DEFAULT_TSTEP = 2*pi/64, so the shift-by-2*pi operator is an exact offset of
+64 samples; no function takes a step of its own. The module provides the
+plain and phase-modulated CFs of a grid density, the three-term decomposition
+identity satisfied by the phase-modulated transform, the closed form for the
+uniform case, and the Gaussianization diagnostics of the iterated transform
+(empirically rescaled CF against exp(-t^2/2)).
 
 Every CF is the Simpson quadrature sum over the grid nodes, and one routine,
 `_cf_samples`, evaluates it. Nodes are uniform in x and frequencies uniform
@@ -34,7 +35,9 @@ import numpy as np
 from .grid import GridDensity, csv_rows, simpson_weights
 from .transforms import TransformKind, steps, transform_values
 
-DEFAULT_TSTEP = math.tau / 64.0
+# Samples per 2*pi of frequency: the index offset of the shift by 2*pi.
+_SHIFT = 64
+DEFAULT_TSTEP = math.tau / _SHIFT
 DEFAULT_TMAX = 64.0 * math.pi
 DEFAULT_SUP_TMAX = 5.0
 
@@ -46,17 +49,11 @@ MAX_HALF_COUNT = 2**18
 
 @dataclass(frozen=True)
 class CharFunction:
-    """Complex samples at t = k*tstep for k in [-K, K]."""
+    """Complex samples at t = k*DEFAULT_TSTEP for k in [-K, K]."""
 
-    tstep: float
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        if not 0 < self.tstep < math.inf:
-            raise ValueError(f"tstep must be finite and positive, got {self.tstep}")
-        shifts_per_turn = math.tau / self.tstep
-        if round(shifts_per_turn) < 1 or abs(shifts_per_turn - round(shifts_per_turn)) > 1e-9:
-            raise ValueError(f"2*pi/tstep must be an integer >= 1, got {shifts_per_turn}")
         vals = np.asarray(self.values, dtype=complex)
         if vals.shape[0] % 2 == 0:
             raise ValueError(f"expected an odd number 2K+1 of samples, got {vals.shape[0]}")
@@ -70,22 +67,23 @@ class CharFunction:
 
     @property
     def tmax(self) -> float:
-        return self.half_count * self.tstep
+        return self.half_count * DEFAULT_TSTEP
 
     @property
     def ts(self) -> np.ndarray:
-        return _frequencies(self.half_count, self.tstep)
+        return _frequencies(self.half_count)
 
     def at_zero(self) -> complex:
         return complex(self.values[self.half_count])
 
 
-def window_half_count(tstep: float, tmax: float) -> int:
-    """K = floor(tmax/tstep) of the window t = k*tstep, |k| <= K, at least 1,
-    so the window holds a nonzero frequency, and at most MAX_HALF_COUNT."""
-    if not (0 < tstep < math.inf and 0 < tmax < math.inf):
-        raise ValueError("tstep and tmax must be finite and positive")
-    k = tmax / tstep + 1e-9
+def window_half_count(tmax: float) -> int:
+    """K = floor(tmax/DEFAULT_TSTEP) of the window t = k*DEFAULT_TSTEP,
+    |k| <= K, at least 1, so the window holds a nonzero frequency, and at
+    most MAX_HALF_COUNT."""
+    if not 0 < tmax < math.inf:
+        raise ValueError("tmax must be finite and positive")
+    k = tmax / DEFAULT_TSTEP + 1e-9
     if not k < MAX_HALF_COUNT + 1:
         raise ValueError(f"tmax/tstep = {k:.6g} exceeds the cap of {MAX_HALF_COUNT} frequencies per side")
     if k < 1:
@@ -93,9 +91,9 @@ def window_half_count(tstep: float, tmax: float) -> int:
     return int(math.floor(k))
 
 
-def _frequencies(k: int, tstep: float) -> np.ndarray:
-    """The symmetric frequency grid t = j*tstep for j in [-k, k]."""
-    return np.arange(-k, k + 1) * tstep
+def _frequencies(k: int) -> np.ndarray:
+    """The symmetric frequency grid t = j*DEFAULT_TSTEP for j in [-k, k]."""
+    return np.arange(-k, k + 1) * DEFAULT_TSTEP
 
 
 def _chirp(alpha: float, count: int) -> np.ndarray:
@@ -129,12 +127,12 @@ def _fft_length(m: int) -> int:
     return best
 
 
-def _cf_samples(weighted: np.ndarray, lo: float, step: float, tstep: float, k: int) -> np.ndarray:
-    """sum_j weighted_j exp(i t_m x_j) at t_m = m*tstep, |m| <= k, for the
+def _cf_samples(weighted: np.ndarray, lo: float, step: float, k: int) -> np.ndarray:
+    """sum_j weighted_j exp(i t_m x_j) at t_m = m*DEFAULT_TSTEP, |m| <= k, for the
     nodes x_j = lo + j*step, by a centred Bluestein transform.
 
     With p = j - c about the centre node x_c = lo + c*step, c = (n-1)/2,
-    and alpha = tstep*step, the phase is t_m x_j = t_m x_c + alpha*m*p.
+    and alpha = DEFAULT_TSTEP*step, the phase is t_m x_j = t_m x_c + alpha*m*p.
     Bluestein's identity m*p = (m^2 + p^2 - (m-p)^2)/2 turns the sum over p
     into one convolution with the chirp exp(-i*alpha*d^2/2), done by FFT at
     the smallest 5-smooth length of at least n + 2k. Centring keeps |p| and
@@ -142,7 +140,7 @@ def _cf_samples(weighted: np.ndarray, lo: float, step: float, tstep: float, k: i
     """
     n = weighted.shape[0]
     c = (n - 1) // 2
-    chirp = _chirp(tstep * step, k + c + 1)
+    chirp = _chirp(DEFAULT_TSTEP * step, k + c + 1)
     size = _fft_length(n + 2 * k)
     a = np.zeros(size, dtype=complex)
     a[:n] = weighted * chirp[np.abs(np.arange(-c, c + 1))]
@@ -151,29 +149,27 @@ def _cf_samples(weighted: np.ndarray, lo: float, step: float, tstep: float, k: i
     b[size - k - c :] = chirp[:0:-1].conj()
     conv = np.fft.ifft(np.fft.fft(a) * np.fft.fft(b))
     m = np.arange(-k, k + 1)
-    return conv[(m + c) % size] * chirp[np.abs(m)] * np.exp(1j * (m * tstep) * (lo + c * step))
+    return conv[(m + c) % size] * chirp[np.abs(m)] * np.exp(1j * (m * DEFAULT_TSTEP) * (lo + c * step))
 
 
-def cf_of_values(g: GridDensity, values: np.ndarray, tstep: float, tmax: float) -> CharFunction:
+def cf_of_values(g: GridDensity, values: np.ndarray, tmax: float) -> CharFunction:
     weighted = simpson_weights(g.n, g.step) * values
-    return CharFunction(tstep, _cf_samples(weighted, g.lo, g.step, tstep, window_half_count(tstep, tmax)))
+    return CharFunction(_cf_samples(weighted, g.lo, g.step, window_half_count(tmax)))
 
 
-def char_function(g: GridDensity, tstep: float = DEFAULT_TSTEP, tmax: float = DEFAULT_TMAX) -> CharFunction:
+def char_function(g: GridDensity, tmax: float = DEFAULT_TMAX) -> CharFunction:
     """phi(t) = integral of exp(itx) f(x) dx by Simpson quadrature."""
-    return cf_of_values(g, g.values, tstep, tmax)
+    return cf_of_values(g, g.values, tmax)
 
 
-def modulated_char(g: GridDensity, sign: int, tstep: float = DEFAULT_TSTEP,
-                   tmax: float = DEFAULT_TMAX) -> CharFunction:
+def modulated_char(g: GridDensity, sign: int, tmax: float = DEFAULT_TMAX) -> CharFunction:
     """CF with the extra phase exp(sign * i * 2*pi * F(x)) in the integrand."""
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
-    return cf_of_values(g, g.values * np.exp(1j * sign * math.tau * g.cdf), tstep, tmax)
+    return cf_of_values(g, g.values * np.exp(1j * sign * math.tau * g.cdf), tmax)
 
 
-def type3_cf_identity_gap(g: GridDensity, tstep: float = DEFAULT_TSTEP,
-                          tmax: float = DEFAULT_TMAX) -> float:
+def type3_cf_identity_gap(g: GridDensity, tmax: float = DEFAULT_TMAX) -> float:
     """sup_t |phi_nu - (phi_0 - (phi_F^+ + phi_F^-)/2)| on the frequency grid.
 
     phi_nu is the CF of the un-renormalized phase-modulated transform; the
@@ -181,10 +177,10 @@ def type3_cf_identity_gap(g: GridDensity, tstep: float = DEFAULT_TSTEP,
     measures only the machinery, not quadrature error.
     """
     nu = transform_values(TransformKind.TYPE3, g)
-    phi_nu = cf_of_values(g, nu, tstep, tmax)
-    phi0 = char_function(g, tstep, tmax)
-    plus = modulated_char(g, +1, tstep, tmax)
-    minus = modulated_char(g, -1, tstep, tmax)
+    phi_nu = cf_of_values(g, nu, tmax)
+    phi0 = char_function(g, tmax)
+    plus = modulated_char(g, +1, tmax)
+    minus = modulated_char(g, -1, tmax)
     combo = phi0.values - 0.5 * (plus.values + minus.values)
     return float(np.max(np.abs(phi_nu.values - combo)))
 
@@ -209,13 +205,11 @@ def t_operator(phi: CharFunction) -> CharFunction:
     No renormalization is applied; the operator does not preserve the value at
     t = 0 beyond one application. The frequency range shrinks by 2*pi.
     """
-    d = int(round(math.tau / phi.tstep))
-    k = phi.half_count
-    if k <= d:
-        raise ValueError(f"tmax={phi.tmax} too small to shift by 2*pi (need more than {d * phi.tstep})")
+    d = _SHIFT
+    if phi.half_count <= d:
+        raise ValueError(f"tmax={phi.tmax} too small to shift by 2*pi (need more than {d * DEFAULT_TSTEP})")
     v = phi.values
-    shifted = v[d:-d] - 0.5 * (v[2 * d :] + v[: -2 * d])
-    return CharFunction(phi.tstep, shifted)
+    return CharFunction(v[d:-d] - 0.5 * (v[2 * d :] + v[: -2 * d]))
 
 
 @dataclass(frozen=True)
@@ -233,20 +227,18 @@ class ConvergenceDiagnostics:
         return self.variance.shape[0] - 1
 
 
-def rescaled_sup_distance(g: GridDensity, mean: float, sd: float, tstep: float = DEFAULT_TSTEP,
-                          tmax: float = DEFAULT_SUP_TMAX) -> float:
+def rescaled_sup_distance(g: GridDensity, mean: float, sd: float, tmax: float = DEFAULT_SUP_TMAX) -> float:
     """sup |phi(t) - exp(-t^2/2)| over |t| <= tmax, where phi is the CF of g's
     density standardized by the given mean and standard deviation."""
-    k = window_half_count(tstep, tmax)
+    k = window_half_count(tmax)
     weighted = simpson_weights(g.n, g.step) * g.values
-    phi = _cf_samples(weighted, (g.lo - mean) / sd, g.step / sd, tstep, k)
-    ts = _frequencies(k, tstep)
+    phi = _cf_samples(weighted, (g.lo - mean) / sd, g.step / sd, k)
+    ts = _frequencies(k)
     return float(np.max(np.abs(phi - np.exp(-0.5 * ts * ts))))
 
 
 def gaussian_convergence(kind: TransformKind, g: GridDensity, n: int,
-                         tmax: float = DEFAULT_SUP_TMAX,
-                         tstep: float = DEFAULT_TSTEP) -> ConvergenceDiagnostics:
+                         tmax: float = DEFAULT_SUP_TMAX) -> ConvergenceDiagnostics:
     """Iterate the transform n times and track the Gaussian sup-distance.
 
     Row k holds the step-k variance, median, sup_t |phi_k_rescaled - gauss|
@@ -261,7 +253,7 @@ def gaussian_convergence(kind: TransformKind, g: GridDensity, n: int,
         raise ValueError(f"step count must be >= 0, got {n}")
     rows = []
     for k, density, centre, d in steps(kind, g, n, follow=True):
-        sup = rescaled_sup_distance(density, d.mean, math.sqrt(d.variance), tstep, tmax)
+        sup = rescaled_sup_distance(density, d.mean, math.sqrt(d.variance), tmax)
         rows.append((d.variance, centre + d.median, sup, 2.0 * math.pi**2 * k * d.variance))
     return ConvergenceDiagnostics(kind, *(np.array(column) for column in zip(*rows)))
 

@@ -547,6 +547,10 @@ def test_spectral_rejects_bad_frequency_window(tmp_path, capsys, flag, value):
     else:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert flag in err
+    if value in ("inf", "nan"):
+        # the step is fixed, so only --tmax can be at fault
+        assert "tstep" not in err
+        assert err == f"error: spectral --tmax {value}: tmax must be finite and positive\n"
     assert not outdir.exists()
 
 

@@ -1,3 +1,5 @@
+import dataclasses
+import inspect
 import math
 
 import numpy as np
@@ -22,7 +24,7 @@ from derangetropy import (
     type3_cf_identity_gap,
     uniform_closed_form_cf,
 )
-from derangetropy import transforms
+from derangetropy import spectral, transforms
 from derangetropy.grid import mean_and_variance, simpson, simpson_weights
 from derangetropy.spectral import (
     DEFAULT_SUP_TMAX,
@@ -47,16 +49,19 @@ FAMILIES = ("uniform", "normal", "exponential", "semicircle", "arcsine")
 @pytest.mark.parametrize("tstep", [1.0, math.inf, math.tau * 1e10],
                          ids=["non-integer", "infinite", "zero-shifts-per-turn"])
 def test_char_function_requires_commensurate_tstep(tstep):
-    # 2*pi/tstep must be an integer >= 1: at 0 shifts per turn t_operator
-    # would slice nothing and fail on mismatched shapes
-    with pytest.raises(ValueError):
+    # every CF sits on the one lattice 2*pi/64, so no step can be passed, and
+    # t_operator's shift by 2*pi is an offset of exactly 64 samples per side
+    with pytest.raises(TypeError):
         CharFunction(tstep, np.ones(21, dtype=complex))
+    assert math.tau / DEFAULT_TSTEP == 64.0
+    phi = CharFunction(np.ones(2 * 65 + 1, dtype=complex))
+    assert np.array_equal(t_operator(phi).ts, phi.ts[64:-64])
 
 
 def test_char_function_requires_matching_count():
-    # samples sit on the symmetric grid t = k*tstep, k in [-K, K], so 2K+1 of them
+    # samples sit on the symmetric grid t = k*DEFAULT_TSTEP, k in [-K, K], so 2K+1 of them
     with pytest.raises(ValueError):
-        CharFunction(DEFAULT_TSTEP, np.ones(4, dtype=complex))
+        CharFunction(np.ones(4, dtype=complex))
 
 
 def test_char_function_frequency_grid():
@@ -72,27 +77,38 @@ def test_char_function_frequency_grid():
                                     {"tmax": 0.0}, {"tstep": -DEFAULT_TSTEP}],
                          ids=["tmax-inf", "tmax-nan", "tstep-inf", "tmax-zero", "tstep-negative"])
 def test_char_function_rejects_bad_window(kwargs):
-    with pytest.raises(ValueError, match="finite and positive"):
+    # only the window's half-width is a parameter; the step is not
+    error, match = (TypeError, "tstep") if "tstep" in kwargs else (ValueError, "finite and positive")
+    with pytest.raises(error, match=match):
         char_function(from_analytic(DistributionSpec("uniform"), 129), **kwargs)
+
+
+def test_spectral_has_one_frequency_step():
+    # every CF is sampled at DEFAULT_TSTEP: no function or class of the module
+    # takes a step, and a CharFunction stores only its samples
+    for name, obj in vars(spectral).items():
+        if callable(obj) and getattr(obj, "__module__", None) == spectral.__name__:
+            assert "tstep" not in inspect.signature(obj).parameters, name
+    assert [f.name for f in dataclasses.fields(CharFunction)] == ["values"]
 
 
 def test_window_half_count_is_capped():
     # checked before anything is allocated, so no window near the cap is built
     top = MAX_HALF_COUNT * DEFAULT_TSTEP
-    assert window_half_count(DEFAULT_TSTEP, top) == MAX_HALF_COUNT
+    assert window_half_count(top) == MAX_HALF_COUNT
     for tmax in ((MAX_HALF_COUNT + 1) * DEFAULT_TSTEP, 1e300):
         with pytest.raises(ValueError, match="exceeds the cap"):
-            window_half_count(DEFAULT_TSTEP, tmax)
+            window_half_count(tmax)
         with pytest.raises(ValueError, match="exceeds the cap"):
             char_function(from_analytic(DistributionSpec("uniform"), 129), tmax=tmax)
 
 
 def test_window_half_count_holds_a_nonzero_frequency():
     # one step is the narrowest window; a narrower one holds only t = 0
-    assert window_half_count(DEFAULT_TSTEP, DEFAULT_TSTEP) == 1
+    assert window_half_count(DEFAULT_TSTEP) == 1
     for tmax in (0.05, 0.999 * DEFAULT_TSTEP):
         with pytest.raises(ValueError, match="below 1"):
-            window_half_count(DEFAULT_TSTEP, tmax)
+            window_half_count(tmax)
 
 
 # --- quadrature CFs -----------------------------------------------------------
@@ -152,10 +168,10 @@ def _sampled(k: int) -> np.ndarray:
 
 def _assert_cf_samples_match_dense_sum(g: GridDensity, k: int) -> None:
     weighted = simpson_weights(g.n, g.step) * g.values
-    got = _cf_samples(weighted, g.lo, g.step, DEFAULT_TSTEP, k)
+    got = _cf_samples(weighted, g.lo, g.step, k)
     assert got.shape == (2 * k + 1,)
     idx = _sampled(k)
-    ts = _frequencies(k, DEFAULT_TSTEP)[idx]
+    ts = _frequencies(k)[idx]
     want = oracles.cf_direct(oracles.exact_nodes(g.lo, g.step, g.n), weighted, ts)
     assert np.max(np.abs(got[idx] - want)) <= 1e-13
 
@@ -204,8 +220,8 @@ def test_rescaled_sup_distance_of_narrow_grid_uses_nominal_step():
     g = _narrow_ramp()
     mean, var = mean_and_variance(g)
     sd = math.sqrt(var)
-    got = rescaled_sup_distance(g, mean, sd, DEFAULT_TSTEP, DEFAULT_SUP_TMAX)
-    ts = _frequencies(int(DEFAULT_SUP_TMAX / DEFAULT_TSTEP), DEFAULT_TSTEP)
+    got = rescaled_sup_distance(g, mean, sd, DEFAULT_SUP_TMAX)
+    ts = _frequencies(int(DEFAULT_SUP_TMAX / DEFAULT_TSTEP))
     ys = (oracles.exact_nodes(g.lo, g.step, g.n) - np.longdouble(mean)) / np.longdouble(sd)
     phi = oracles.cf_direct(ys, simpson_weights(g.n, g.step) * g.values, ts)
     want = float(np.max(np.abs(phi - np.exp(-0.5 * ts.astype(np.longdouble) ** 2))))
@@ -233,7 +249,7 @@ def test_closed_form_continuous_at_removable_points():
 def test_closed_form_matches_quadrature_cf():
     g = from_analytic(DistributionSpec("uniform"), 4097)
     nu = transform_values(TransformKind.TYPE3, g)
-    phi = cf_of_values(g, nu, DEFAULT_TSTEP, 20.0)
+    phi = cf_of_values(g, nu, 20.0)
     want = uniform_closed_form_cf(phi.ts)
     assert np.max(np.abs(phi.values - want)) <= 1e-6
 
@@ -246,7 +262,6 @@ def test_t_operator_shrinks_window():
     phi = char_function(g)  # tmax = 64 pi
     one = t_operator(phi)
     assert one.tmax == pytest.approx(phi.tmax - 2.0 * math.pi)
-    assert one.tstep == phi.tstep
 
 
 def test_t_operator_needs_room():
@@ -263,7 +278,7 @@ def test_t_operator_matches_transform_cf_for_uniform(ref_grids, uniform_cf):
     phi = uniform_cf
     one = t_operator(phi)
     nu = transform_values(TransformKind.TYPE3, g)
-    raw = cf_of_values(g, nu, phi.tstep, one.tmax)
+    raw = cf_of_values(g, nu, one.tmax)
     assert np.max(np.abs(one.values - raw.values)) <= 1e-6
 
 
