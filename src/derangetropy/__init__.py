@@ -37,10 +37,8 @@ from .residuals import IcCheck, ResidualReport, residual
 from .spectral import (
     CharFunction,
     ConvergenceDiagnostics,
-    cf_csv,
     cf_of_values,
     char_function,
-    diagnostics_csv,
     gaussian_convergence,
     modulated_char,
     rescaled_sup_distance,
@@ -60,8 +58,6 @@ from .transforms import (
     kernel,
     log_derivative_grid,
     steps,
-    trace_csv,
-    trace_diagnostics_json,
     transform,
     transform_step,
     transform_values,

@@ -16,8 +16,11 @@ identical flags produce byte-identical bytes. Exit codes:
   runner, forked as a second process, that fails or cannot be started; the
   line names what it raised, if anything.
 
-The checks themselves live in `derangetropy.checks`; `verify` runs their
-units on two processes and formats them.
+This module owns every file layout `dlab` writes: each CSV header, the
+order of its columns and each JSON key. The library modules only compute,
+and `grid.csv_rows` owns the `%.17g` cell format. The checks themselves live
+in `derangetropy.checks`; `verify` runs their units on two processes and
+formats them.
 """
 
 from __future__ import annotations
@@ -38,14 +41,7 @@ import numpy as np
 from . import checks, spectral
 from .distributions import FAMILIES, DistributionSpec
 from .grid import GridDensity, csv_rows, from_analytic
-from .transforms import (
-    IterationTrace,
-    TransformKind,
-    iterate,
-    trace_csv,
-    trace_diagnostics_json,
-    transform,
-)
+from .transforms import IterationTrace, TransformKind, iterate, transform
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -208,8 +204,37 @@ def _in_two_processes(child: Callable[[], str], parent: Callable[[], T], what: s
     return reply, result
 
 
+def _trace_csv(trace: IterationTrace, start: int = 0, stop: int | None = None) -> str:
+    """Long-format rows `step,x,f,F` of steps start .. stop-1 (all by default).
+
+    Every step sits on step 0's grid, as every step `iterate` builds does, so
+    the x column is formatted once and reused by every step. The header line
+    comes first when start is 0, so the text of a trace split at any step
+    k >= 1 is `_trace_csv(t, 0, k) + _trace_csv(t, k)`.
+    """
+    x = csv_rows(trace.steps[0].xs).splitlines()
+    parts = ["step,x,f,F\n"] if start == 0 else []
+    for k, g in enumerate(trace.steps[start:stop], start):
+        parts.append(csv_rows([str(k)] * g.n, x, g.values, g.cdf))
+    return "".join(parts)
+
+
+def _trace_diagnostics_json(trace: IterationTrace) -> str:
+    rows = [
+        {
+            "step": k,
+            "variance": d.variance,
+            "median": d.median,
+            "mean": d.mean,
+            "integralError": d.integral_error,
+        }
+        for k, d in enumerate(trace.diagnostics)
+    ]
+    return json.dumps(rows, indent=2) + "\n"
+
+
 def _write_trace(fh: TextIO, path: str, trace: IterationTrace) -> None:
-    """Write `trace_csv(trace)` into fh, path's new file, by two processes at once.
+    """Write `_trace_csv(trace)` into fh, path's new file, by two processes at once.
 
     A forked child formats the first ceil(steps / 2) steps (header included)
     and writes them through the file description it shares with this process,
@@ -218,11 +243,11 @@ def _write_trace(fh: TextIO, path: str, trace: IterationTrace) -> None:
     split = (len(trace.steps) + 1) // 2
 
     def child() -> str:
-        fh.write(trace_csv(trace, 0, split))
+        fh.write(_trace_csv(trace, 0, split))
         fh.flush()
         return ""
 
-    _, rest = _in_two_processes(child, lambda: trace_csv(trace, split),
+    _, rest = _in_two_processes(child, lambda: _trace_csv(trace, split),
                                 f"the process writing steps 0-{split - 1} of {path}")
     fh.write(rest)
 
@@ -240,7 +265,7 @@ def cmd_iterate(args: argparse.Namespace) -> int:
     root, _ = os.path.splitext(args.out)
     with _replacing(root + ".diagnostics.json", args.out) as (sidecar, fh):
         _write_trace(fh, args.out, trace)
-        sidecar.write(trace_diagnostics_json(trace))
+        sidecar.write(_trace_diagnostics_json(trace))
     for k, d in enumerate(trace.diagnostics):
         if not d.integral_error <= checks.MASS_TOLERANCE:
             problem = (f"integralError {d.integral_error:.3g} exceeds {checks.MASS_TOLERANCE:g};"
@@ -283,6 +308,16 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK if passed else EXIT_VERIFY_FAILED
 
 
+def _diagnostics_csv(d: spectral.ConvergenceDiagnostics) -> str:
+    return "n,variance,median,sup_distance,rate_product\n" + csv_rows(
+        np.arange(d.variance.shape[0]), d.variance, d.median, d.sup_distance, d.rate_product
+    )
+
+
+def _cf_csv(phi: spectral.CharFunction) -> str:
+    return "t,re,im\n" + csv_rows(phi.ts, phi.values.real, phi.values.imag)
+
+
 def cmd_spectral(args: argparse.Namespace) -> int:
     if args.n < 0:
         raise UsageError(f"spectral requires --n >= 0, got {args.n}")
@@ -296,14 +331,14 @@ def cmd_spectral(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     phi = spectral.char_function(g)
-    texts = {"diagnostics.csv": spectral.diagnostics_csv(diag), "cf_source.csv": spectral.cf_csv(phi)}
+    texts = {"diagnostics.csv": _diagnostics_csv(diag), "cf_source.csv": _cf_csv(phi)}
     # the shift operator sequence, raw and renormalized to 1 at t=0, so the
     # non-preservation of normalization is visible in the emitted data
     for step in (1, 2):
         phi = spectral.t_operator(phi)
-        texts[f"cf_shift_step{step}_raw.csv"] = spectral.cf_csv(phi)
+        texts[f"cf_shift_step{step}_raw.csv"] = _cf_csv(phi)
         renorm = spectral.CharFunction(phi.values / phi.at_zero())
-        texts[f"cf_shift_step{step}_renormalized.csv"] = spectral.cf_csv(renorm)
+        texts[f"cf_shift_step{step}_renormalized.csv"] = _cf_csv(renorm)
     outdir = args.outdir if args.outdir is not None else "spectral"
     os.makedirs(outdir, exist_ok=True)
     _write_files({os.path.join(outdir, name): text for name, text in texts.items()})
@@ -364,7 +399,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=30, metavar="K")
     p.add_argument("--tmax", type=float, default=spectral.DEFAULT_SUP_TMAX,
                    help="half-width of the Gaussian-comparison frequency window, from 1 to"
-                        f" {spectral.MAX_HALF_COUNT} steps of tstep = 2*pi/64; the CF dumps span |t| <= 64*pi")
+                        f" {spectral.MAX_HALF_COUNT} steps of 2*pi/64; the CF dumps span |t| <= 64*pi")
     p.add_argument("--outdir", default=None)
     p.set_defaults(func=cmd_spectral)
 

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridDensity, csv_rows, simpson_weights
+from .grid import GridDensity, simpson_weights
 from .transforms import TransformKind, steps, transform_values
 
 # Samples per 2*pi of frequency: the index offset of the shift by 2*pi.
@@ -85,9 +85,10 @@ def window_half_count(tmax: float) -> int:
         raise ValueError("tmax must be finite and positive")
     k = tmax / DEFAULT_TSTEP + 1e-9
     if not k < MAX_HALF_COUNT + 1:
-        raise ValueError(f"tmax/tstep = {k:.6g} exceeds the cap of {MAX_HALF_COUNT} frequencies per side")
+        raise ValueError(f"tmax spans {k:.6g} steps of 2*pi/64, which exceeds the cap of {MAX_HALF_COUNT}"
+                         " frequencies per side")
     if k < 1:
-        raise ValueError(f"tmax/tstep = {k:.6g} is below 1, so the window holds no frequency but t = 0")
+        raise ValueError(f"tmax spans {k:.6g} steps of 2*pi/64, below 1, so the window holds no frequency but t = 0")
     return int(math.floor(k))
 
 
@@ -216,7 +217,6 @@ def t_operator(phi: CharFunction) -> CharFunction:
 class ConvergenceDiagnostics:
     """Per-step statistics of the iterated transform, row n = step n."""
 
-    kind: TransformKind
     variance: np.ndarray
     median: np.ndarray
     sup_distance: np.ndarray
@@ -255,14 +255,5 @@ def gaussian_convergence(kind: TransformKind, g: GridDensity, n: int,
     for k, density, centre, d in steps(kind, g, n, follow=True):
         sup = rescaled_sup_distance(density, d.mean, math.sqrt(d.variance), tmax)
         rows.append((d.variance, centre + d.median, sup, 2.0 * math.pi**2 * k * d.variance))
-    return ConvergenceDiagnostics(kind, *(np.array(column) for column in zip(*rows)))
+    return ConvergenceDiagnostics(*(np.array(column) for column in zip(*rows)))
 
-
-def diagnostics_csv(d: ConvergenceDiagnostics) -> str:
-    return "n,variance,median,sup_distance,rate_product\n" + csv_rows(
-        np.arange(d.variance.shape[0]), d.variance, d.median, d.sup_distance, d.rate_product
-    )
-
-
-def cf_csv(phi: CharFunction) -> str:
-    return "t,re,im\n" + csv_rows(phi.ts, phi.values.real, phi.values.imag)

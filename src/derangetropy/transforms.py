@@ -40,7 +40,6 @@ floats (step 510 from the unit uniform) and then raises, naming the step.
 from __future__ import annotations
 
 import enum
-import json
 import math
 import operator
 import sys
@@ -52,7 +51,6 @@ import numpy as np
 
 from .grid import (
     GridDensity,
-    csv_rows,
     integrate,
     mean_and_variance,
     median_of,
@@ -177,7 +175,6 @@ class StepDiagnostics:
 class IterationTrace:
     """Step 0 is the input; step k is the renormalized transform of step k-1."""
 
-    kind: TransformKind
     steps: tuple[GridDensity, ...]
     diagnostics: tuple[StepDiagnostics, ...]
 
@@ -280,39 +277,5 @@ def iterate(kind: TransformKind, g: GridDensity, n: int) -> IterationTrace:
     if n < 1:
         raise ValueError(f"iteration count must be >= 1, got {n}")
     _, densities, _, diagnostics = zip(*steps(kind, g, n))
-    return IterationTrace(kind, densities, diagnostics)
+    return IterationTrace(densities, diagnostics)
 
-
-def trace_csv(trace: IterationTrace, start: int = 0, stop: int | None = None) -> str:
-    """Long-format rows `step,x,f,F` of steps start .. stop-1 (all by default).
-
-    The header line comes first when start is 0, so the text of a trace split
-    at any step k >= 1 is `trace_csv(t, 0, k) + trace_csv(t, k)`. Steps are
-    formatted one at a time; the x column is formatted once per call and
-    reused by every step on the same (lo, hi, n) grid, which is every step
-    `iterate` builds.
-    """
-    x_cells: dict[tuple[str, str, int], list[str]] = {}
-    parts = ["step,x,f,F\n"] if start == 0 else []
-    for k in range(len(trace.steps))[start:stop]:
-        g = trace.steps[k]
-        # repr, not ==, so grids ending at 0.0 and -0.0 do not share a column
-        key = (repr(g.lo), repr(g.hi), g.n)
-        if key not in x_cells:
-            x_cells[key] = csv_rows(g.xs).splitlines()
-        parts.append(csv_rows([str(k)] * g.n, x_cells[key], g.values, g.cdf))
-    return "".join(parts)
-
-
-def trace_diagnostics_json(trace: IterationTrace) -> str:
-    rows = [
-        {
-            "step": k,
-            "variance": d.variance,
-            "median": d.median,
-            "mean": d.mean,
-            "integralError": d.integral_error,
-        }
-        for k, d in enumerate(trace.diagnostics)
-    ]
-    return json.dumps(rows, indent=2) + "\n"

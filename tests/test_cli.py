@@ -10,7 +10,7 @@ import textwrap
 import numpy as np
 import pytest
 
-from derangetropy import checks, spectral, transforms
+from derangetropy import DistributionSpec, TransformKind, checks, cli, from_analytic, iterate, spectral
 from derangetropy.cli import main
 
 import oracles
@@ -18,6 +18,18 @@ import oracles
 
 def run(*argv):
     return main(list(argv))
+
+
+def _csv_reference(header, *columns):
+    # row by row, each cell as `%.17g` renders it
+    rows = zip(*(np.asarray(column).tolist() for column in columns))
+    return header + "".join(",".join(f"{v:.17g}" for v in row) + "\n" for row in rows)
+
+
+def _trace_csv_reference(trace):
+    return "step,x,f,F\n" + "".join(
+        _csv_reference("", np.full(g.n, k), g.xs, g.values, g.cdf) for k, g in enumerate(trace.steps)
+    )
 
 
 # --- argument handling --------------------------------------------------------
@@ -217,17 +229,42 @@ def test_iterate_exponential_median_stays_near_ln2(tmp_path):
     assert rows[2]["median"] == pytest.approx(math.log(2.0), abs=1e-3)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_iterate_writes_the_per_cell_reference(tmp_path, n):
+    # the forked writer formats the header and steps 0 .. ceil((n + 1) / 2) - 1
+    # and dlab the rest, so the trace is split after step 0, 1 and 1
+    out = tmp_path / "t.csv"
+    assert run("iterate", "--dist", "normal", "--kind", "type1", "--grid", "129",
+               "--n", str(n), "--out", str(out)) == 0
+    _assert_no_child_left()
+    trace = iterate(TransformKind.TYPE1, from_analytic(DistributionSpec("normal"), 129), n)
+    assert len(trace.steps) == n + 1
+    assert out.read_text() == _trace_csv_reference(trace)
+    rows = json.loads((tmp_path / "t.diagnostics.json").read_text(), object_pairs_hook=list)
+    assert rows == [[("step", k), ("variance", d.variance), ("median", d.median), ("mean", d.mean),
+                     ("integralError", d.integral_error)] for k, d in enumerate(trace.diagnostics)]
+
+
+def test_trace_csv_split_at_any_step_joins_to_the_whole():
+    # `dlab iterate` formats the two halves of a trace in two processes
+    trace = iterate(TransformKind.TYPE3, from_analytic(DistributionSpec("uniform"), 129), 3)
+    whole = _trace_csv_reference(trace)
+    for k in range(1, len(trace.steps) + 1):
+        assert cli._trace_csv(trace, 0, k) + cli._trace_csv(trace, k) == whole, k
+    assert cli._trace_csv(trace, 1, 3) == "".join(whole.splitlines(keepends=True)[1 + 129:1 + 3 * 129])
+
+
 def _plant_in_formatter(monkeypatch, steps, action):
     """Run action(step) when the per-step formatter reaches one of the given
     steps. The forked writer process inherits the patch."""
-    real = transforms.csv_rows
+    real = cli.csv_rows
 
     def csv_rows(*columns):
         if len(columns) == 4 and columns[0][0] in steps:
             action(columns[0][0])
         return real(*columns)
 
-    monkeypatch.setattr(transforms, "csv_rows", csv_rows)
+    monkeypatch.setattr(cli, "csv_rows", csv_rows)
 
 
 def _raise(step):
@@ -462,18 +499,24 @@ def test_spectral_outputs(tmp_path):
     outdir = tmp_path / "sp"
     assert run("spectral", "--dist", "uniform", "--n", "3", "--grid", "513",
                "--outdir", str(outdir)) == 0
-    names = sorted(p.name for p in outdir.iterdir())
-    assert names == [
-        "cf_shift_step1_raw.csv",
-        "cf_shift_step1_renormalized.csv",
-        "cf_shift_step2_raw.csv",
-        "cf_shift_step2_renormalized.csv",
-        "cf_source.csv",
-        "diagnostics.csv",
-    ]
-    diag = (outdir / "diagnostics.csv").read_text().strip().split("\n")
-    assert diag[0] == "n,variance,median,sup_distance,rate_product"
-    assert len(diag) == 5
+    # each file is the per-cell reference of the library's numbers
+    g = from_analytic(DistributionSpec("uniform"), 513)
+    d = spectral.gaussian_convergence(TransformKind.TYPE3, g, 3)
+    phi = spectral.char_function(g)
+
+    def cf(values):
+        return _csv_reference("t,re,im\n", phi.ts, values.real, values.imag)
+
+    expected = {
+        "diagnostics.csv": _csv_reference("n,variance,median,sup_distance,rate_product\n", np.arange(4),
+                                          d.variance, d.median, d.sup_distance, d.rate_product),
+        "cf_source.csv": cf(phi.values),
+    }
+    for step in (1, 2):
+        phi = spectral.t_operator(phi)
+        expected[f"cf_shift_step{step}_raw.csv"] = cf(phi.values)
+        expected[f"cf_shift_step{step}_renormalized.csv"] = cf(phi.values / phi.at_zero())
+    assert {p.name: p.read_text() for p in outdir.iterdir()} == expected
 
     # renormalized shift dumps carry value 1 at t = 0; the raw second step
     # carries the 3/2 that documents non-preservation of normalization
@@ -523,7 +566,7 @@ def test_spectral_rejects_negative_n(tmp_path, capsys):
     capsys.readouterr()
 
 
-# the first --tmax past the CF window cap at tstep = 2*pi/64
+# the first --tmax past the CF window cap at a step of 2*pi/64
 _FIRST_WIDE_TMAX = (spectral.MAX_HALF_COUNT + 1) * math.tau / 64.0
 
 
@@ -545,11 +588,10 @@ def test_spectral_rejects_bad_frequency_window(tmp_path, capsys, flag, value):
     if flag == "--tstep-div":
         assert f"unrecognized arguments: {flag} {value}\n" in err
     else:
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert flag in err
-    if value in ("inf", "nan"):
         # the step is fixed, so only --tmax can be at fault
-        assert "tstep" not in err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert flag in err and "tstep" not in err
+    if value in ("inf", "nan"):
         assert err == f"error: spectral --tmax {value}: tmax must be finite and positive\n"
     assert not outdir.exists()
 

@@ -1,5 +1,4 @@
 import dataclasses
-import json
 import math
 import warnings
 
@@ -13,7 +12,6 @@ from derangetropy import (
     TYPE2_CONSTANT,
     DistributionSpec,
     GridDensity,
-    IterationTrace,
     TransformKind,
     bernoulli_entropy,
     from_analytic,
@@ -23,8 +21,6 @@ from derangetropy import (
     log_derivative_grid,
     median,
     median_of,
-    trace_csv,
-    trace_diagnostics_json,
     transform,
     transform_step,
     transform_values,
@@ -307,69 +303,6 @@ def test_iterate_variance_contracts_for_type3(ref_grids):
     variances = [d.variance for d in tr.diagnostics]
     assert variances[1] == pytest.approx(oracles.UNIFORM_STEP1_VARIANCE, abs=1e-9)
     assert all(b < a for a, b in zip(variances, variances[1:]))
-
-
-# --- trace serialization ----------------------------------------------------
-
-
-def test_trace_csv_layout():
-    g = from_analytic(DistributionSpec("uniform"), 129)
-    tr = iterate(TransformKind.TYPE3, g, 2)
-    lines = trace_csv(tr).strip().split("\n")
-    assert lines[0] == "step,x,f,F"
-    assert len(lines) == 1 + 3 * 129
-    first = lines[1].split(",")
-    assert first[0] == "0" and float(first[1]) == 0.0
-
-
-def _trace_csv_reference(trace):
-    # row by row, each numeric cell as `%.17g` renders it
-    return "step,x,f,F\n" + "".join(
-        f"{k},{x:.17g},{f:.17g},{F:.17g}\n"
-        for k, g in enumerate(trace.steps)
-        for x, f, F in zip(g.xs.tolist(), g.values.tolist(), g.cdf.tolist())
-    )
-
-
-def test_trace_csv_matches_per_cell_reference():
-    tr = iterate(TransformKind.TYPE1, from_analytic(DistributionSpec("exponential"), 129), 3)
-    assert len(tr.steps) == 4
-    assert trace_csv(tr) == _trace_csv_reference(tr)
-
-
-def test_trace_csv_formats_x_per_grid():
-    # steps on different grids, two of which differ only in the sign of a
-    # zero end, each keep their own x column
-    vals = np.linspace(1.0, 2.0, 129)
-    steps = (GridDensity(-1.0, 0.0, vals), GridDensity(-1.0, -0.0, vals),
-             GridDensity(-2.0, 0.0, vals), GridDensity(-1.0, 0.0, vals))
-    tr = IterationTrace(TransformKind.TYPE3, steps, ())
-    text = trace_csv(tr)
-    assert text == _trace_csv_reference(tr)
-    assert "\n1,-0," in text and "\n0,0," in text
-
-
-def test_trace_csv_split_at_any_step_joins_to_the_whole():
-    # `dlab iterate` formats the two halves of a trace in two processes; a
-    # split between steps on different grids leaves each half its own x columns
-    vals = np.linspace(1.0, 2.0, 129)
-    steps = (GridDensity(-1.0, 0.0, vals), GridDensity(-2.0, 0.0, vals),
-             GridDensity(-1.0, -0.0, vals), GridDensity(-2.0, 0.0, vals))
-    tr = IterationTrace(TransformKind.TYPE3, steps, ())
-    whole = _trace_csv_reference(tr)
-    for k in range(1, len(steps) + 1):
-        assert trace_csv(tr, 0, k) + trace_csv(tr, k) == whole, k
-    assert trace_csv(tr, 1, 3) == "".join(whole.splitlines(keepends=True)[1 + 129:1 + 3 * 129])
-
-
-def test_trace_diagnostics_json_layout():
-    g = from_analytic(DistributionSpec("uniform"), 129)
-    tr = iterate(TransformKind.TYPE3, g, 2)
-    rows = json.loads(trace_diagnostics_json(tr))
-    assert [r["step"] for r in rows] == [0, 1, 2]
-    for key in ("variance", "median", "mean", "integralError"):
-        assert key in rows[0]
-    assert rows[0]["median"] == pytest.approx(0.5, abs=1e-12)
 
 
 # --- log-derivatives ---------------------------------------------------------
