@@ -22,7 +22,7 @@ from derangetropy import (
     type3_cf_identity_gap,
     uniform_closed_form_cf,
 )
-from derangetropy import spectral, transforms
+from derangetropy import cli, spectral, transforms
 from derangetropy.grid import mean_and_variance, simpson, simpson_weights
 from derangetropy.spectral import (
     DEFAULT_SUP_TMAX,
@@ -466,3 +466,27 @@ def test_convergence_names_the_step_whose_variance_is_not_normal():
 def test_convergence_rejects_negative_steps(ref_grids):
     with pytest.raises(ValueError):
         gaussian_convergence(TransformKind.TYPE3, ref_grids["uniform"], -1)
+
+
+# --- serialization --------------------------------------------------------------
+
+
+def test_diagnostics_csv_layout(ref_grids):
+    d = gaussian_convergence(TransformKind.TYPE3, ref_grids["uniform"], 2)
+    lines = cli._diagnostics_csv(d).strip().split("\n")
+    assert lines[0] == "n,variance,median,sup_distance,rate_product"
+    assert len(lines) == 4
+    row = lines[1].split(",")
+    assert row[0] == "0"
+    assert float(row[1]) == pytest.approx(1.0 / 12.0, abs=1e-9)
+
+
+def test_cf_csv_layout():
+    g = from_analytic(DistributionSpec("uniform"), 129)
+    phi = char_function(g, tmax=2.0 * math.pi)
+    lines = cli._cf_csv(phi).strip().split("\n")
+    assert lines[0] == "t,re,im"
+    assert len(lines) == 2 + 2 * phi.half_count
+    mid = lines[1 + phi.half_count].split(",")
+    assert float(mid[0]) == 0.0
+    assert float(mid[1]) == pytest.approx(1.0, abs=1e-12)
