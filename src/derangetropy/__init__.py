@@ -8,9 +8,10 @@ Three transforms act on a probability density f with distribution function F:
 
 Each produces a new density after renormalization, so the transforms can be
 iterated. The package provides the grid/quadrature layer, the transforms and
-their iteration traces, governing-equation residual checks, characteristic
-function tooling, and repeated-type3 Gaussianization diagnostics. The `dlab`
-console script exposes all of it as deterministic file outputs.
+their iteration traces, characteristic function tooling, the sup distance of
+each iterate's standardized CF from exp(-t^2/2), and a registry of checks
+against closed forms and governing equations. The `dlab` console script
+exposes all of it as deterministic file outputs.
 """
 
 from .distributions import (
@@ -33,7 +34,6 @@ from .grid import (
     moment,
     simpson,
 )
-from .residuals import IcCheck, ResidualReport, residual
 from .spectral import (
     CharFunction,
     ConvergenceDiagnostics,
@@ -43,7 +43,6 @@ from .spectral import (
     modulated_char,
     rescaled_sup_distance,
     t_operator,
-    type3_cf_identity_gap,
     uniform_closed_form_cf,
 )
 from .transforms import (

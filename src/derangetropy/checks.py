@@ -18,16 +18,44 @@ from functools import partial
 
 import numpy as np
 
-from . import residuals as res
 from . import spectral
 from .distributions import FAMILIES, DistributionSpec, median
 from .grid import GridDensity, from_analytic, simpson
-from .transforms import TransformKind, bernoulli_entropy, steps, transform, transform_values
+from .transforms import (TransformKind, _log_derivatives, bernoulli_entropy, kernel, steps, transform,
+                         transform_values)
 
 # Gate on a transform's pre-renormalization mass defect |integral - 1|: the
 # `raw_integral` tolerance, and the point past which `dlab iterate` reports
 # that its grid no longer resolves the iterate.
 MASS_TOLERANCE = 1e-4
+
+# For a uniform base density each transformed density is its kernel k(F), and
+# each satisfies a linear ODE in F with L(F) = ln((1-F)/F):
+#
+#   Type-I    r'' + 2 L r' + [pi^2 - 1/(F(1-F)) + L^2] r   = 0
+#   Type-II   t'' - 2 L t' + [pi^2 + 1/(F(1-F)) + L^2] t   = 0
+#   Type-III  v''' + 4 pi^2 v'                             = 0
+#
+# kind -> (the ODE's left side from F, L and (k, k', k'', k'''),
+#          its initial values as (name, derivative order, limit at F = 0+))
+_ODES = {
+    TransformKind.TYPE1: (
+        lambda F, L, k: k[2] + 2.0 * L * k[1] + (math.pi**2 - 1.0 / (F * (1.0 - F)) + L * L) * k[0],
+        (("drho_dF_at_0", 1, 24.0 / math.e),),
+    ),
+    TransformKind.TYPE2: (
+        lambda F, L, k: k[2] - 2.0 * L * k[1] + (math.pi**2 + 1.0 / (F * (1.0 - F)) + L * L) * k[0],
+        (("dtau_dF_at_0", 1, math.e),),
+    ),
+    TransformKind.TYPE3: (
+        lambda F, L, k: k[3] + 4.0 * math.pi**2 * k[1],
+        (("nu_at_0", 0, 0.0), ("dnu_dF_at_0", 1, 0.0), ("d2nu_dF2_at_0", 2, 4.0 * math.pi**2)),
+    ),
+}
+# The interior CDF values the residuals are taken at, and the F at which the
+# initial values are read as one-sided limits.
+ODE_SWEEP = np.linspace(0.05, 0.95, 181)
+IC_PROBE = 1e-8
 
 
 @dataclass(frozen=True)
@@ -67,14 +95,28 @@ def _checks_normalization() -> list[Check]:
     return out
 
 
+def _kernel_derivatives(kind: TransformKind, F: np.ndarray) -> tuple[np.ndarray, ...]:
+    """k = kernel(kind, F) and its first three F-derivatives from those of ln k, l1, l2
+    and l3: k' = k*l1, k'' = k*(l1^2 + l2) and k''' = k*(l1^3 + 3*l1*l2 + l3)."""
+    k = kernel(kind, F)
+    l1, l2, l3 = _log_derivatives(kind, F)
+    return k, k * l1, k * (l1 * l1 + l2), k * (l1**3 + 3.0 * l1 * l2 + l3)
+
+
 def _checks_ode() -> list[Check]:
+    """Each kind's package kernel plugged into its ODE over ODE_SWEEP, then its
+    initial values at F = IC_PROBE. The derivatives are in closed form, so the
+    residuals check the kernel rows and the equations apart from any
+    discretization error."""
     out = []
-    for report in map(res.residual, TransformKind):
-        out.append(Check(f"{report.kind.value}/max_abs_residual", 0.0, report.max_abs_residual, 1e-8))
-        for ic in report.ic_checks:
+    F = ODE_SWEEP
+    for kind, (ode, ics) in _ODES.items():
+        residual = ode(F, np.log((1.0 - F) / F), _kernel_derivatives(kind, F))
+        out.append(Check(f"{kind.value}/max_abs_residual", 0.0, float(np.max(np.abs(residual))), 1e-8))
+        at_0 = _kernel_derivatives(kind, np.array([IC_PROBE]))
+        for name, order, limit in ics:
             # relative tolerance against the expected limit; absolute at zero
-            tol = 1e-4 * max(abs(ic.expected), 1.0)
-            out.append(Check(f"{report.kind.value}/{ic.name}", ic.expected, ic.observed, tol))
+            out.append(Check(f"{kind.value}/{name}", limit, float(at_0[order][0]), 1e-4 * max(abs(limit), 1.0)))
     return out
 
 
@@ -83,7 +125,13 @@ def _checks_cf() -> list[Check]:
     tmax = 20.0
     grids = _reference_grids()
     for family, g in grids.items():
-        gap = spectral.type3_cf_identity_gap(g, tmax=tmax)
+        # phi_nu = phi_0 - (phi_F^+ + phi_F^-)/2 follows from 2 sin^2 = 1 - cos, so
+        # the gap measures the CF machinery, not quadrature error
+        phi_nu = spectral.cf_of_values(g, transform_values(TransformKind.TYPE3, g), tmax)
+        phi0 = spectral.char_function(g, tmax)
+        plus = spectral.modulated_char(g, +1, tmax)
+        minus = spectral.modulated_char(g, -1, tmax)
+        gap = float(np.max(np.abs(phi_nu.values - (phi0.values - 0.5 * (plus.values + minus.values)))))
         tol = 1e-4 if family == "arcsine" else 1e-5
         out.append(Check(f"{family}/cf_identity_gap", 0.0, gap, tol))
         for sign, label in ((1, "plus"), (-1, "minus")):

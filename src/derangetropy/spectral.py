@@ -3,10 +3,9 @@
 Every CF is sampled on one symmetric frequency grid, t = k*DEFAULT_TSTEP with
 DEFAULT_TSTEP = 2*pi/64, so the shift-by-2*pi operator is an exact offset of
 64 samples; no function takes a step of its own. The module provides the
-plain and phase-modulated CFs of a grid density, the three-term decomposition
-identity satisfied by the phase-modulated transform, the closed form for the
-uniform case, and the Gaussianization diagnostics of the iterated transform
-(empirically rescaled CF against exp(-t^2/2)).
+plain and phase-modulated CFs of a grid density, the closed form for the
+uniform case, and, per step of the iterated transform, the sup distance of
+the standardized CF from exp(-t^2/2).
 
 Every CF is the Simpson quadrature sum over the grid nodes, and one routine,
 `_cf_samples`, evaluates it. Nodes are uniform in x and frequencies uniform
@@ -33,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import GridDensity, simpson_weights
-from .transforms import TransformKind, steps, transform_values
+from .transforms import TransformKind, steps
 
 # Samples per 2*pi of frequency: the index offset of the shift by 2*pi.
 _SHIFT = 64
@@ -168,22 +167,6 @@ def modulated_char(g: GridDensity, sign: int, tmax: float = DEFAULT_TMAX) -> Cha
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
     return cf_of_values(g, g.values * np.exp(1j * sign * math.tau * g.cdf), tmax)
-
-
-def type3_cf_identity_gap(g: GridDensity, tmax: float = DEFAULT_TMAX) -> float:
-    """sup_t |phi_nu - (phi_0 - (phi_F^+ + phi_F^-)/2)| on the frequency grid.
-
-    phi_nu is the CF of the un-renormalized phase-modulated transform; the
-    identity is an algebraic consequence of 2 sin^2 = 1 - cos, so the gap
-    measures only the machinery, not quadrature error.
-    """
-    nu = transform_values(TransformKind.TYPE3, g)
-    phi_nu = cf_of_values(g, nu, tmax)
-    phi0 = char_function(g, tmax)
-    plus = modulated_char(g, +1, tmax)
-    minus = modulated_char(g, -1, tmax)
-    combo = phi0.values - 0.5 * (plus.values + minus.values)
-    return float(np.max(np.abs(phi_nu.values - combo)))
 
 
 def uniform_closed_form_cf(t):

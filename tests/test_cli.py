@@ -57,6 +57,8 @@ def test_even_grid_rejected(capsys):
 
 
 def test_bad_params_rejected(capsys):
+    assert run("transform", "--params", "a") == 2
+    assert capsys.readouterr() == ("", "error: --params entries must look like key=value, got 'a'\n")
     assert run("transform", "--params", "a=1;b=2") == 2
     assert run("transform", "--params", "a=x") == 2
     assert run("transform", "--dist", "uniform", "--params", "a=2,b=1") == 2
@@ -91,6 +93,12 @@ def test_repeated_params_key_is_usage_error(tmp_path, capsys, argv):
     assert run(*(a.replace("{out}", str(tmp_path)) for a in argv)) == 2
     assert capsys.readouterr().err == "error: --params names 'rate' more than once\n"
     assert list(tmp_path.iterdir()) == []
+
+
+def test_params_skips_empty_entries(tmp_path):
+    for name, params in (("plain.csv", "a=0,b=2"), ("doubled.csv", "a=0,,b=2")):
+        assert run("transform", "--grid", "129", "--params", params, "--out", str(tmp_path / name)) == 0
+    assert (tmp_path / "doubled.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
 
 
 def test_io_failure_maps_to_exit_3(tmp_path, capsys):
@@ -668,6 +676,36 @@ def test_unwritable_later_file_keeps_every_earlier_file(tmp_path, capsys, argv, 
     assert sorted(p.name for p in outdir.iterdir()) == names
     assert all((outdir / name).read_bytes() == _EARLIER for name in names if name != blocked)
     assert list((outdir / blocked).iterdir()) == []
+
+
+def test_failed_rename_keeps_the_paths_not_yet_replaced(tmp_path, capsys, monkeypatch):
+    # the renames run in path order once every file is complete, so one that
+    # fails leaves the paths before it new, the paths after it as they were,
+    # and no temporary file beside them
+    outdir = tmp_path / "out"
+    names = ["diagnostics.csv", "cf_source.csv", "cf_shift_step1_raw.csv", "cf_shift_step1_renormalized.csv",
+             "cf_shift_step2_raw.csv", "cf_shift_step2_renormalized.csv"]
+    argv = ("spectral", "--grid", "129", "--n", "2", "--outdir", str(outdir))
+    assert run(*argv) == 0
+    new = {name: (outdir / name).read_bytes() for name in names}
+    for name in names:
+        (outdir / name).write_bytes(_EARLIER)
+    targets = []
+    replace = os.replace
+
+    def refuse_third(src, dst):
+        targets.append(dst)
+        if len(targets) == 3:
+            raise OSError(errno.EACCES, os.strerror(errno.EACCES))
+        replace(src, dst)
+
+    monkeypatch.setattr(cli.os, "replace", refuse_third)
+    assert run(*argv) == 3
+    assert targets == [str(outdir / name) for name in names[:3]]
+    blocked = str(outdir / names[2])
+    assert capsys.readouterr().err == f"i/o error: [Errno {errno.EACCES}] {os.strerror(errno.EACCES)}: {blocked!r}\n"
+    assert sorted(p.name for p in outdir.iterdir()) == sorted(names)
+    assert [(outdir / name).read_bytes() for name in names] == [new[name] for name in names[:2]] + [_EARLIER] * 4
 
 
 def test_figures_default_outdir_named_after_panel(tmp_path, monkeypatch):

@@ -3,61 +3,42 @@ import math
 import numpy as np
 import pytest
 
-from derangetropy import ResidualReport, TransformKind, residual
-from derangetropy import residuals
-from derangetropy.residuals import DEFAULT_SWEEP
+from derangetropy import TransformKind, checks
 
 import oracles
 
+KINDS = [kind.value for kind in TransformKind]
+
 
 def test_default_sweep_range():
-    assert DEFAULT_SWEEP[0] == pytest.approx(0.05)
-    assert DEFAULT_SWEEP[-1] == pytest.approx(0.95)
+    assert checks.ODE_SWEEP[0] == pytest.approx(0.05)
+    assert checks.ODE_SWEEP[-1] == pytest.approx(0.95)
 
 
-@pytest.mark.parametrize("kind", ["type1", "type2", "type3"], ids=lambda kind: f"residual_{kind}-{kind}")
-def test_residuals_vanish_with_analytic_derivatives(kind):
-    report = residual(TransformKind(kind))
-    assert report.kind.value == kind
-    assert report.max_abs_residual <= 1e-10
-    assert report.max_abs_residual == np.max(np.abs(report.residuals))
-    assert len(report.residuals) == len(report.grid)
+@pytest.mark.parametrize("kind", KINDS, ids=lambda kind: f"residual_{kind}-{kind}")
+def test_residuals_vanish_with_analytic_derivatives(registry, kind):
+    (row,) = [c for c in registry if c.name == f"{kind}/max_abs_residual"]
+    assert row.expected == 0.0
+    assert row.observed <= 1e-10
 
 
-def test_initial_condition_limits():
-    r1 = residual(TransformKind.TYPE1)
-    (ic,) = r1.ic_checks
-    assert ic.expected == pytest.approx(24.0 / math.e, rel=1e-15)
-    assert ic.observed == pytest.approx(ic.expected, rel=1e-4)
-
-    r2 = residual(TransformKind.TYPE2)
-    (ic,) = r2.ic_checks
-    assert ic.expected == pytest.approx(math.e, rel=1e-15)
-    assert ic.observed == pytest.approx(ic.expected, rel=1e-4)
-
-    r3 = residual(TransformKind.TYPE3)
-    by_name = {c.name: c for c in r3.ic_checks}
-    assert by_name["nu_at_0"].expected == 0.0
-    assert abs(by_name["nu_at_0"].observed) < 1e-10
-    assert by_name["dnu_dF_at_0"].expected == 0.0
-    assert abs(by_name["dnu_dF_at_0"].observed) < 1e-4
-    want = 4.0 * math.pi**2
-    assert by_name["d2nu_dF2_at_0"].expected == pytest.approx(want, rel=1e-15)
-    assert by_name["d2nu_dF2_at_0"].observed == pytest.approx(want, rel=1e-4)
-
-
-def test_residuals_on_custom_sweep():
-    sweep = np.linspace(0.2, 0.8, 31)
-    report = residual(TransformKind.TYPE2, sweep)
-    assert report.max_abs_residual <= 1e-10
-    assert np.array_equal(report.grid, sweep)
-
-
-@pytest.mark.parametrize("kind", list(TransformKind), ids=lambda kind: f"residual_{kind.value}")
-@pytest.mark.parametrize("bad", [0.0, 1.0, -0.2, 1.3])
-def test_sweep_must_be_interior(kind, bad):
-    with pytest.raises(ValueError):
-        residual(kind, np.array([0.5, bad]))
+def test_initial_condition_limits(registry):
+    # the ode rows, in order: each kind's residual, then its initial values
+    rows = [c for c in registry if c.name.split("/")[0] in KINDS]
+    assert [c.name for c in rows] == [
+        "type1/max_abs_residual", "type1/drho_dF_at_0",
+        "type2/max_abs_residual", "type2/dtau_dF_at_0",
+        "type3/max_abs_residual", "type3/nu_at_0", "type3/dnu_dF_at_0", "type3/d2nu_dF2_at_0",
+    ]
+    by_name = {c.name: c for c in rows}
+    for name, want in (("type1/drho_dF_at_0", 24.0 / math.e), ("type2/dtau_dF_at_0", math.e),
+                       ("type3/d2nu_dF2_at_0", 4.0 * math.pi**2)):
+        assert by_name[name].expected == pytest.approx(want, rel=1e-15)
+        assert by_name[name].observed == pytest.approx(want, rel=1e-4)
+    assert by_name["type3/nu_at_0"].expected == 0.0
+    assert abs(by_name["type3/nu_at_0"].observed) < 1e-10
+    assert by_name["type3/dnu_dF_at_0"].expected == 0.0
+    assert abs(by_name["type3/dnu_dF_at_0"].observed) < 1e-4
 
 
 def _type3_closed_forms(kind, F):
@@ -84,18 +65,12 @@ def _central_differences(kind, F, h=1e-4):
 def test_kernel_derivatives_match_independent_references(kind, reference, bound):
     # the references solve the kind's ODE, the differences up to their O(h^2)
     # error; the package's k', k'' and k''' match them relative to their scale
-    F = DEFAULT_SWEEP
+    F = checks.ODE_SWEEP
     want = reference(kind, F)
     kind = TransformKind(kind)
-    ode, _ = residuals._ODES[kind]
+    ode, _ = checks._ODES[kind]
     assert np.max(np.abs(ode(F, np.log((1.0 - F) / F), want))) <= bound
-    got = residuals._kernel_derivatives(kind, F)
+    got = checks._kernel_derivatives(kind, F)
     for order in (1, 2, 3):
         assert np.max(np.abs(got[order] - want[order])) <= bound * np.max(np.abs(want[order])), order
 
-
-def test_report_is_frozen():
-    report = residual(TransformKind.TYPE3)
-    assert isinstance(report, ResidualReport)
-    with pytest.raises(Exception):
-        report.max_abs_residual = 0.0  # type: ignore[misc]

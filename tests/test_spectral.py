@@ -19,7 +19,6 @@ from derangetropy import (
     t_operator,
     transform,
     transform_values,
-    type3_cf_identity_gap,
     uniform_closed_form_cf,
 )
 from derangetropy import cli, spectral, transforms
@@ -144,11 +143,11 @@ def test_modulated_requires_unit_sign(ref_grids):
 
 
 @pytest.mark.parametrize("family", FAMILIES)
-def test_type3_cf_identity(family, ref_grids):
+def test_type3_cf_identity(family, registry):
     # phi_nu = phi_0 - (phi_F+ + phi_F-)/2 holds per quadrature node because
     # 2 sin^2(pi F) = 1 - cos(2 pi F) pointwise; only the arcsine's capped
     # pole nodes leave a visible gap
-    gap = type3_cf_identity_gap(ref_grids[family], tmax=20.0)
+    (gap,) = [c.observed for c in registry if c.name == f"{family}/cf_identity_gap"]
     tol = 1e-4 if family == "arcsine" else 1e-5
     assert gap <= tol
     if family == "uniform":
