@@ -12,15 +12,17 @@ identical flags produce byte-identical bytes. Exit codes:
   that overflows or has a non-finite mean, variance or median, a `spectral`
   step whose variance is not a positive normal float, and a `spectral` --tmax
   whose comparison window spectral.window_half_count rejects.
-* 3: I/O error. This includes an `iterate` trace writer or a `verify` check
-  runner, forked as a second process, that fails or cannot be started; the
-  line names what it raised, if anything.
+* 3: I/O error. This includes the second process of `iterate` (half of the
+  trace's row blocks), `spectral` (the CF dumps) or `verify` (half of the
+  check units), forked by `_in_two_processes`, that fails or cannot be
+  started; the line names what it raised, if anything.
 
 This module owns every file layout `dlab` writes: each CSV header, the
 order of its columns and each JSON key. The library modules only compute,
-and `grid.csv_rows` owns the `%.17g` cell format. The checks themselves live
-in `derangetropy.checks`; `verify` runs their units on two processes and
-formats them.
+and `grid.csv_rows` owns the `%.17g` cell format. `iterate`, `spectral`
+and `verify` each run on two processes through one fork helper,
+`_in_two_processes`, and write the same bytes as one process would. The
+checks themselves live in `derangetropy.checks`.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ import sys
 import tempfile
 from collections.abc import Callable, Iterator
 from dataclasses import asdict
-from typing import TextIO, TypeVar
+from typing import BinaryIO, TextIO, TypeVar
 
 import numpy as np
 
@@ -204,19 +206,26 @@ def _in_two_processes(child: Callable[[], str], parent: Callable[[], T], what: s
     return reply, result
 
 
-def _trace_csv(trace: IterationTrace, start: int = 0, stop: int | None = None) -> str:
-    """Long-format rows `step,x,f,F` of steps start .. stop-1 (all by default).
+# `iterate` cuts every step of its trace into this many row blocks, and
+# process b % 2 formats block b of each step
+TRACE_BLOCKS = 16
+
+
+def _trace_blocks(trace: IterationTrace, share: int) -> Iterator[str]:
+    """Yield the `step,x,f,F` rows of row blocks share, share + 2, ... of
+    every step, step by step, so the blocks of both shares, woven, are the
+    trace below its header line.
 
     Every step sits on step 0's grid, as every step `iterate` builds does, so
-    the x column is formatted once and reused by every step. The header line
-    comes first when start is 0, so the text of a trace split at any step
-    k >= 1 is `_trace_csv(t, 0, k) + _trace_csv(t, k)`.
+    each block's x cells are formatted once and reused by every step.
     """
-    x = csv_rows(trace.steps[0].xs).splitlines()
-    parts = ["step,x,f,F\n"] if start == 0 else []
-    for k, g in enumerate(trace.steps[start:stop], start):
-        parts.append(csv_rows([str(k)] * g.n, x, g.values, g.cdf))
-    return "".join(parts)
+    n = trace.steps[0].n
+    bounds = [b * n // TRACE_BLOCKS for b in range(TRACE_BLOCKS + 1)]
+    spans = list(zip(bounds[share::2], bounds[share + 1::2]))
+    xs = [csv_rows(trace.steps[0].xs[lo:hi]).splitlines() for lo, hi in spans]
+    for k, g in enumerate(trace.steps):
+        for (lo, hi), x in zip(spans, xs):
+            yield csv_rows([str(k)] * (hi - lo), x, g.values[lo:hi], g.cdf[lo:hi])
 
 
 def _trace_diagnostics_json(trace: IterationTrace) -> str:
@@ -234,22 +243,31 @@ def _trace_diagnostics_json(trace: IterationTrace) -> str:
 
 
 def _write_trace(fh: TextIO, path: str, trace: IterationTrace) -> None:
-    """Write `_trace_csv(trace)` into fh, path's new file, by two processes at once.
+    """Write the trace into fh, path's new file, formatted by two processes at once.
 
-    A forked child formats the first ceil(steps / 2) steps (header included)
-    and writes them through the file description it shares with this process,
-    which formats the rest and appends them once the child has exited 0.
+    A forked child takes the even row blocks of `_trace_blocks` and this
+    process the odd ones. Each writes every block, as it is formatted, into
+    its own unnamed temporary file beside path and keeps the block's size;
+    the child sends its sizes back as JSON. This process then writes the
+    header and copies the blocks into fh in file order.
     """
-    split = (len(trace.steps) + 1) // 2
+    folder = os.path.dirname(path) or os.curdir
+    with tempfile.TemporaryFile(dir=folder) as even, tempfile.TemporaryFile(dir=folder) as odd:
+        def write_blocks(blocks: BinaryIO, share: int) -> list[int]:
+            sizes = [blocks.write(text.encode()) for text in _trace_blocks(trace, share)]
+            blocks.flush()
+            return sizes
 
-    def child() -> str:
-        fh.write(_trace_csv(trace, 0, split))
-        fh.flush()
-        return ""
-
-    _, rest = _in_two_processes(child, lambda: _trace_csv(trace, split),
-                                f"the process writing steps 0-{split - 1} of {path}")
-    fh.write(rest)
+        reply, own = _in_two_processes(lambda: json.dumps(write_blocks(even, 0)),
+                                       lambda: write_blocks(odd, 1),
+                                       f"the process formatting row blocks 0, 2, ... of {path}")
+        files, sizes = (even, odd), (json.loads(reply), own)
+        out = fh.buffer  # the blocks are ASCII bytes, so they bypass fh's encoder
+        out.write(b"step,x,f,F\n")
+        even.seek(0)
+        odd.seek(0)
+        for i in range(len(sizes[0]) + len(sizes[1])):  # block i is block i // 2 of share i % 2
+            out.write(files[i % 2].read(sizes[i % 2][i // 2]))
 
 
 def cmd_iterate(args: argparse.Namespace) -> int:
@@ -326,19 +344,28 @@ def cmd_spectral(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise UsageError(f"spectral --tmax {args.tmax}: {exc}") from exc
     g = _build_grid(args.dist, args.params, args.grid)
-    try:
-        diag = spectral.gaussian_convergence(TransformKind(args.kind), g, args.n, tmax=args.tmax)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-    phi = spectral.char_function(g)
-    texts = {"diagnostics.csv": _diagnostics_csv(diag), "cf_source.csv": _cf_csv(phi)}
-    # the shift operator sequence, raw and renormalized to 1 at t=0, so the
-    # non-preservation of normalization is visible in the emitted data
-    for step in (1, 2):
-        phi = spectral.t_operator(phi)
-        texts[f"cf_shift_step{step}_raw.csv"] = _cf_csv(phi)
-        renorm = spectral.CharFunction(phi.values / phi.at_zero())
-        texts[f"cf_shift_step{step}_renormalized.csv"] = _cf_csv(renorm)
+
+    def cf_texts() -> str:
+        phi = spectral.char_function(g)
+        texts = {"cf_source.csv": _cf_csv(phi)}
+        # the shift operator sequence, raw and renormalized to 1 at t=0, so the
+        # non-preservation of normalization is visible in the emitted data
+        for step in (1, 2):
+            phi = spectral.t_operator(phi)
+            texts[f"cf_shift_step{step}_raw.csv"] = _cf_csv(phi)
+            renorm = spectral.CharFunction(phi.values / phi.at_zero())
+            texts[f"cf_shift_step{step}_renormalized.csv"] = _cf_csv(renorm)
+        return json.dumps(texts)
+
+    def converge() -> spectral.ConvergenceDiagnostics:
+        try:
+            return spectral.gaussian_convergence(TransformKind(args.kind), g, args.n, tmax=args.tmax)
+        except ValueError as exc:
+            raise UsageError(str(exc)) from exc
+
+    # a forked child formats the CF dumps while this process runs the convergence loop
+    reply, diag = _in_two_processes(cf_texts, converge, "the process formatting the CF dumps")
+    texts = {"diagnostics.csv": _diagnostics_csv(diag), **json.loads(reply)}
     outdir = args.outdir if args.outdir is not None else "spectral"
     os.makedirs(outdir, exist_ok=True)
     _write_files({os.path.join(outdir, name): text for name, text in texts.items()})

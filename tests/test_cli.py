@@ -239,8 +239,8 @@ def test_iterate_exponential_median_stays_near_ln2(tmp_path):
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_iterate_writes_the_per_cell_reference(tmp_path, n):
-    # the forked writer formats the header and steps 0 .. ceil((n + 1) / 2) - 1
-    # and dlab the rest, so the trace is split after step 0, 1 and 1
+    # the forked child formats the even row blocks of every step and dlab the
+    # odd ones; dlab then writes the header and weaves the blocks together
     out = tmp_path / "t.csv"
     assert run("iterate", "--dist", "normal", "--kind", "type1", "--grid", "129",
                "--n", str(n), "--out", str(out)) == 0
@@ -253,33 +253,55 @@ def test_iterate_writes_the_per_cell_reference(tmp_path, n):
                      ("integralError", d.integral_error)] for k, d in enumerate(trace.diagnostics)]
 
 
-def test_trace_csv_split_at_any_step_joins_to_the_whole():
-    # `dlab iterate` formats the two halves of a trace in two processes
-    trace = iterate(TransformKind.TYPE3, from_analytic(DistributionSpec("uniform"), 129), 3)
-    whole = _trace_csv_reference(trace)
-    for k in range(1, len(trace.steps) + 1):
-        assert cli._trace_csv(trace, 0, k) + cli._trace_csv(trace, k) == whole, k
-    assert cli._trace_csv(trace, 1, 3) == "".join(whole.splitlines(keepends=True)[1 + 129:1 + 3 * 129])
+@pytest.mark.parametrize("nodes", [129, 4097])
+def test_trace_blocks_of_both_processes_weave_into_the_reference(nodes):
+    # `dlab iterate` formats the even row blocks of every step in a forked
+    # child and the odd ones itself; at 129 nodes the blocks hold 8 or 9 rows
+    trace = iterate(TransformKind.TYPE3, from_analytic(DistributionSpec("uniform"), nodes), 3)
+    even, odd = (list(cli._trace_blocks(trace, share)) for share in (0, 1))
+    assert len(even) == len(odd) == len(trace.steps) * cli.TRACE_BLOCKS // 2
+    woven = "".join(block for pair in zip(even, odd, strict=True) for block in pair)
+    assert "step,x,f,F\n" + woven == _trace_csv_reference(trace)
 
 
-def _plant_in_formatter(monkeypatch, steps, action):
-    """Run action(step) when the per-step formatter reaches one of the given
-    steps. The forked writer process inherits the patch."""
-    real = cli.csv_rows
+def test_iterate_formats_at_most_one_row_block_per_call(tmp_path, monkeypatch):
+    # each process formats and writes one row block of ceil(n / 16) rows or
+    # fewer at a time, so neither holds a step's text, let alone its half of
+    # the trace; the forked child inherits the patch
+    real, limit, rows = cli.csv_rows, math.ceil(4097 / 16), []
 
     def csv_rows(*columns):
-        if len(columns) == 4 and columns[0][0] in steps:
-            action(columns[0][0])
+        rows.append(len(columns[0]))
+        if rows[-1] > limit:
+            raise RuntimeError(f"csv_rows called on {rows[-1]} rows, more than {limit}")
+        return real(*columns)
+
+    monkeypatch.setattr(cli, "csv_rows", csv_rows)
+    out = tmp_path / "t.csv"
+    assert run("iterate", "--grid", "4097", "--n", "3", "--out", str(out)) == 0
+    _assert_no_child_left()
+    assert rows and max(rows) <= limit
+    assert out.read_text().count("\n") == 1 + 4 * 4097
+
+
+def _plant_in_formatter(monkeypatch, in_child, action):
+    """Run action() at every `csv_rows` call made in the forked child (in_child)
+    or in this process (not in_child). The forked child inherits the patch."""
+    real, own = cli.csv_rows, os.getpid()
+
+    def csv_rows(*columns):
+        if (os.getpid() != own) == in_child:
+            action()
         return real(*columns)
 
     monkeypatch.setattr(cli, "csv_rows", csv_rows)
 
 
-def _raise(step):
-    raise RuntimeError(f"planted failure formatting step {step}")
+def _raise():
+    raise RuntimeError("planted failure formatting a block")
 
 
-def _kill_self(step):
+def _kill_self():
     os.kill(os.getpid(), signal.SIGKILL)
 
 
@@ -299,17 +321,18 @@ def _assert_earlier_output_kept(path):
 
 
 @pytest.mark.parametrize("action, how, cause", [
-    (_raise, "exited with status 1", ": RuntimeError: planted failure formatting step 1\n"),
+    (_raise, "exited with status 1", ": RuntimeError: planted failure formatting a block\n"),
     (_kill_self, "was killed by signal 9", "was killed by signal 9\n"),
 ], ids=["raises", "killed"])
 def test_iterate_failed_writer_process_exits_3(tmp_path, capsys, monkeypatch, action, how, cause):
-    # --n 2 gives steps 0..2; the forked process formats steps 0 and 1 and
-    # names what it raised; a killed one leaves nothing to name
-    _plant_in_formatter(monkeypatch, {"1"}, action)
+    # the failure is planted in the forked child only, which names what it
+    # raised; a killed one leaves nothing to name
+    _plant_in_formatter(monkeypatch, True, action)
     (tmp_path / "t.csv").write_bytes(_EARLIER)
     assert run("iterate", "--grid", "129", "--n", "2", "--out", str(tmp_path / "t.csv")) == 3
     err = capsys.readouterr().err
-    assert err.startswith("i/o error: the process writing steps 0-1 of ") and err.count("\n") == 1
+    assert err.startswith(f"i/o error: the process formatting row blocks 0, 2, ... of {tmp_path / 't.csv'} ")
+    assert err.count("\n") == 1
     assert how in err
     assert err.endswith(cause)
     _assert_earlier_output_kept(tmp_path / "t.csv")
@@ -342,10 +365,11 @@ def test_iterate_into_a_directory_writes_nothing(tmp_path, capsys):
 
 
 def test_iterate_failed_formatting_reaps_the_writer_process(tmp_path, monkeypatch):
-    # step 2 is this process's half; the writer process is killed and reaped
-    _plant_in_formatter(monkeypatch, {"2"}, _raise)
+    # the failure is planted in this process only; the writer process is
+    # killed and reaped
+    _plant_in_formatter(monkeypatch, False, _raise)
     (tmp_path / "t.csv").write_bytes(_EARLIER)
-    with pytest.raises(RuntimeError, match="step 2"):
+    with pytest.raises(RuntimeError, match="planted failure"):
         run("iterate", "--grid", "129", "--n", "2", "--out", str(tmp_path / "t.csv"))
     _assert_earlier_output_kept(tmp_path / "t.csv")
     _assert_no_child_left()
@@ -464,14 +488,18 @@ def _refuse_fork():
 
 @pytest.mark.parametrize("argv, what, out", [
     (["iterate", "--grid", "129", "--n", "1", "--out", "{tmp}/t.csv"],
-     "the process writing steps 0-0 of {tmp}/t.csv", "t.csv"),
+     "the process formatting row blocks 0, 2, ... of {tmp}/t.csv", "t.csv"),
     (["verify", "--suite", "ode", "--out", "{tmp}/report.json"],
      "the process running check units 0, 2, ... of suite ode", "report.json"),
-], ids=["iterate", "verify"])
+    (["spectral", "--grid", "129", "--n", "2", "--outdir", "{tmp}/sp"],
+     "the process formatting the CF dumps", "sp/diagnostics.csv"),
+], ids=["iterate", "verify", "spectral"])
 def test_failed_fork_exits_3_and_closes_the_pipe(tmp_path, capsys, monkeypatch, argv, what, out):
-    # the trace's temporary file is open at the fork and is removed; the
-    # sidecar and the report are never written, so an earlier --out is kept
+    # the trace's temporary files are open at the fork and are removed; the
+    # sidecar, the report and the spectral files are never written, so an
+    # earlier output is kept
     monkeypatch.setattr(os, "fork", _refuse_fork)
+    (tmp_path / out).parent.mkdir(exist_ok=True)
     (tmp_path / out).write_bytes(_EARLIER)
     fds = len(os.listdir("/proc/self/fd"))
     assert run(*(a.replace("{tmp}", str(tmp_path)) for a in argv)) == 3
@@ -566,7 +594,29 @@ def test_spectral_degenerate_variance_names_the_step(tmp_path, capsys, rate):
                "--grid", "129", "--n", "8", "--outdir", str(outdir)) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: step 0 ") and err.count("\n") == 1
-    assert not (outdir / "diagnostics.csv").exists()
+    # the convergence loop raises in dlab, which kills and reaps the forked
+    # child formatting the CF dumps before anything is created
+    assert not outdir.exists()
+    _assert_no_child_left()
+
+
+def test_spectral_failed_cf_process_exits_3_and_keeps_the_earlier_files(tmp_path, capsys, monkeypatch):
+    # the CF dumps are formatted in a forked child; when it raises, no file
+    # is replaced
+    outdir = tmp_path / "sp"
+    argv = ("spectral", "--grid", "129", "--n", "2", "--outdir", str(outdir))
+    assert run(*argv) == 0
+    names = sorted(p.name for p in outdir.iterdir())
+    assert len(names) == 6
+    for name in names:
+        (outdir / name).write_bytes(_EARLIER)
+    _plant_in_formatter(monkeypatch, True, _raise)
+    assert run(*argv) == 3
+    assert capsys.readouterr().err == ("i/o error: the process formatting the CF dumps exited with status 1:"
+                                       " RuntimeError: planted failure formatting a block\n")
+    assert sorted(p.name for p in outdir.iterdir()) == names
+    assert all((outdir / name).read_bytes() == _EARLIER for name in names)
+    _assert_no_child_left()
 
 
 def test_spectral_rejects_negative_n(tmp_path, capsys):
@@ -728,8 +778,8 @@ def test_console_script_runs():
 
 
 def test_dlab_loads_no_scipy_or_process_launchers(tmp_path):
-    # numpy is the package's only runtime dependency, and `iterate`'s second
-    # process is a bare os.fork: no pool, spawn or exec. Each step records
+    # numpy is the package's only runtime dependency, and the second process
+    # of `iterate`, `spectral` and `verify` is a bare os.fork: no pool, spawn or exec. Each step records
     # main's exit code and then the watched modules loaded so far; modules are
     # never unloaded, so a leak shows from the step that caused it onwards.
     calls = [

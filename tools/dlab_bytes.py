@@ -40,8 +40,10 @@ MATRIX: list[tuple[str, list[str]]] = [
                                "--out", "{out}/trace.csv"]),
     ("iterate-normal-type2", ["iterate", "--dist", "normal", "--kind", "type2",
                               "--params", "mean=0.3,stddev=1.7", "--out", "{out}/trace.csv"]),
-    # the trace is written by two processes: one step each, then the trace-export benchmark's shape
+    # the trace is written by two processes, each formatting every other one of a step's 16 row blocks:
+    # two steps, the smallest grid (blocks of 8 and 9 rows), then the trace-export benchmark's shape
     ("iterate-one-step", ["iterate", "--n", "1", "--out", "{out}/trace.csv"]),
+    ("iterate-grid129", ["iterate", "--grid", "129", "--n", "3", "--out", "{out}/trace.csv"]),
     ("iterate-arcsine-type1-grid65537", ["iterate", "--dist", "arcsine", "--kind", "type1", "--grid", "65537",
                                          "--n", "8", "--out", "{out}/trace.csv"]),
     # a variance of 1e-600 reads 0.0: both files are written, then exit 1
@@ -59,6 +61,8 @@ MATRIX: list[tuple[str, list[str]]] = [
     # 16385 nodes put the Bluestein FFTs at 16875 = 3**3 * 5**4 points, a length with no factor 2
     ("spectral-uniform-grid16385", ["spectral", "--dist", "uniform", "--grid", "16385",
                                     "--outdir", "{out}"]),
+    # a forked child formats the CF dumps while dlab runs the convergence loop; here the loop is short
+    ("spectral-grid129", ["spectral", "--grid", "129", "--n", "2", "--outdir", "{out}"]),
     # the skewed step-1 tail that the re-grid window must keep is widest here
     ("spectral-exponential-type2", ["spectral", "--dist", "exponential", "--kind", "type2",
                                     "--outdir", "{out}"]),
