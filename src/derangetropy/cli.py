@@ -20,9 +20,10 @@ identical flags produce byte-identical bytes. Exit codes:
 This module owns every file layout `dlab` writes: each CSV header, the
 order of its columns and each JSON key. The library modules only compute,
 and `grid.csv_rows` owns the `%.17g` cell format. `iterate`, `spectral`
-and `verify` each run on two processes through one fork helper,
-`_in_two_processes`, and write the same bytes as one process would. The
-checks themselves live in `derangetropy.checks`.
+and `verify` each hand one fork helper, `_in_two_processes`, an ordered
+list of jobs; it runs the even ones in a forked child and the odd ones here
+and returns every result in job order, so each writes the same bytes as
+one process would. The checks themselves live in `derangetropy.checks`.
 """
 
 from __future__ import annotations
@@ -34,9 +35,9 @@ import json
 import os
 import sys
 import tempfile
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import asdict
-from typing import BinaryIO, TextIO, TypeVar
+from typing import TextIO, TypeVar
 
 import numpy as np
 
@@ -154,17 +155,19 @@ def cmd_transform(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _in_two_processes(child: Callable[[], str], parent: Callable[[], T], what: str) -> tuple[str, T]:
-    """Run child() in a forked process and parent() in this one, at once, and
-    return the text child() returned and what parent() returned.
+def _in_two_processes(jobs: Sequence[Callable[[], T]], what: str) -> list[T]:
+    """Run jobs 0, 2, 4, ... in a forked process and jobs 1, 3, ... in this one,
+    at once, and return every job's result in job order: `dlab`'s one rule
+    for splitting its work over two processes.
 
-    The child sends its text back through a pipe, or, if it raises, the
-    exception's type and text, and leaves only through os._exit, so it never
-    unwinds its caller's stack or flushes its copies of Python's buffers. If
-    parent() raises, the child is killed and reaped and the exception
-    propagates. A child that does not exit 0 raises OSError naming `what`,
-    how it ended, and what it raised, if anything; so does a failed fork,
-    after closing the pipe.
+    The child sends its results back through a pipe as one JSON list, which
+    round-trips every float exactly (a tuple comes back a list), or, if a job
+    raises, the exception's type and text. It leaves only through os._exit,
+    so it never unwinds its caller's stack or flushes its copies of Python's
+    buffers. If a job here raises, the child is killed and reaped and the
+    exception propagates. A child that does not exit 0 raises OSError naming
+    `what`, how it ended, and what it raised, if anything; so does a failed
+    fork, after closing the pipe.
     """
     reply_in, reply_out = os.pipe()
     try:
@@ -178,7 +181,7 @@ def _in_two_processes(child: Callable[[], str], parent: Callable[[], T], what: s
         try:
             os.close(reply_in)  # so a write to a parent that died fails instead of blocking
             try:
-                reply = child()
+                reply = json.dumps([job() for job in jobs[0::2]])
                 status = 0
             except BaseException as exc:
                 reply = f"{type(exc).__name__}: {exc}"
@@ -187,9 +190,10 @@ def _in_two_processes(child: Callable[[], str], parent: Callable[[], T], what: s
         finally:
             os._exit(status)
     os.close(reply_out)
+    results: list = [None] * len(jobs)
     with open(reply_in, "rb") as pipe:
         try:
-            result = parent()
+            results[1::2] = [job() for job in jobs[1::2]]
         except BaseException:
             import signal  # only on this path, so `import derangetropy.cli` loads no more modules
 
@@ -203,29 +207,12 @@ def _in_two_processes(child: Callable[[], str], parent: Callable[[], T], what: s
     if code != 0:
         how = f"exited with status {code}" if code > 0 else f"was killed by signal {-code}"
         raise OSError(f"{what} {how}" + (f": {reply}" if reply else ""))
-    return reply, result
+    results[0::2] = json.loads(reply)
+    return results
 
 
-# `iterate` cuts every step of its trace into this many row blocks, and
-# process b % 2 formats block b of each step
+# `iterate` cuts every step of its trace into this many row blocks, one job each
 TRACE_BLOCKS = 16
-
-
-def _trace_blocks(trace: IterationTrace, share: int) -> Iterator[str]:
-    """Yield the `step,x,f,F` rows of row blocks share, share + 2, ... of
-    every step, step by step, so the blocks of both shares, woven, are the
-    trace below its header line.
-
-    Every step sits on step 0's grid, as every step `iterate` builds does, so
-    each block's x cells are formatted once and reused by every step.
-    """
-    n = trace.steps[0].n
-    bounds = [b * n // TRACE_BLOCKS for b in range(TRACE_BLOCKS + 1)]
-    spans = list(zip(bounds[share::2], bounds[share + 1::2]))
-    xs = [csv_rows(trace.steps[0].xs[lo:hi]).splitlines() for lo, hi in spans]
-    for k, g in enumerate(trace.steps):
-        for (lo, hi), x in zip(spans, xs):
-            yield csv_rows([str(k)] * (hi - lo), x, g.values[lo:hi], g.cdf[lo:hi])
 
 
 def _trace_diagnostics_json(trace: IterationTrace) -> str:
@@ -245,36 +232,45 @@ def _trace_diagnostics_json(trace: IterationTrace) -> str:
 def _write_trace(fh: TextIO, path: str, trace: IterationTrace) -> None:
     """Write the trace into fh, path's new file, formatted by two processes at once.
 
-    A forked child takes the even row blocks of `_trace_blocks` and this
-    process the odd ones. Each writes every block, as it is formatted, into
-    its own unnamed temporary file beside path and keeps the block's size;
-    the child sends its sizes back as JSON. This process then writes the
-    header and copies the blocks into fh in file order.
+    Job k * TRACE_BLOCKS + b formats the `step,x,f,F` rows of row block b of
+    step k, writes them into the unnamed temporary file beside path of the
+    process that runs it, and returns their size. This process then writes
+    the header and copies the blocks into fh in job order. Every step sits on
+    step 0's grid, as every step `iterate` builds does, so each process
+    formats the x cells of its blocks once and reuses them for every step.
     """
     folder = os.path.dirname(path) or os.curdir
+    bounds = [b * trace.steps[0].n // TRACE_BLOCKS for b in range(TRACE_BLOCKS + 1)]
+    x_cells: dict[int, list[str]] = {}
     with tempfile.TemporaryFile(dir=folder) as even, tempfile.TemporaryFile(dir=folder) as odd:
-        def write_blocks(blocks: BinaryIO, share: int) -> list[int]:
-            sizes = [blocks.write(text.encode()) for text in _trace_blocks(trace, share)]
-            blocks.flush()
-            return sizes
+        files = (even, odd)
 
-        reply, own = _in_two_processes(lambda: json.dumps(write_blocks(even, 0)),
-                                       lambda: write_blocks(odd, 1),
-                                       f"the process formatting row blocks 0, 2, ... of {path}")
-        files, sizes = (even, odd), (json.loads(reply), own)
+        def write_block(job: int) -> int:
+            k, b = divmod(job, TRACE_BLOCKS)
+            lo, hi = bounds[b], bounds[b + 1]
+            if b not in x_cells:
+                x_cells[b] = csv_rows(trace.steps[0].xs[lo:hi]).splitlines()
+            g = trace.steps[k]
+            text = csv_rows([str(k)] * (hi - lo), x_cells[b], g.values[lo:hi], g.cdf[lo:hi])
+            size = files[job % 2].write(text.encode())
+            files[job % 2].flush()
+            return size
+
+        jobs = [lambda job=job: write_block(job) for job in range(len(trace.steps) * TRACE_BLOCKS)]
+        sizes = _in_two_processes(jobs, f"the process formatting row blocks 0, 2, ... of {path}")
         out = fh.buffer  # the blocks are ASCII bytes, so they bypass fh's encoder
         out.write(b"step,x,f,F\n")
         even.seek(0)
         odd.seek(0)
-        for i in range(len(sizes[0]) + len(sizes[1])):  # block i is block i // 2 of share i % 2
-            out.write(files[i % 2].read(sizes[i % 2][i // 2]))
+        for job, size in enumerate(sizes):
+            out.write(files[job % 2].read(size))
 
 
 def cmd_iterate(args: argparse.Namespace) -> int:
     if args.n < 1:
         raise UsageError(f"iterate requires --n >= 1, got {args.n}")
-    if args.out is None:
-        raise UsageError("iterate requires --out (a diagnostics sidecar is written next to it)")
+    if not args.out:
+        raise UsageError("iterate requires a non-empty --out (a diagnostics sidecar is written next to it)")
     g = _build_grid(args.dist, args.params, args.grid)
     try:
         trace = iterate(TransformKind(args.kind), g, args.n)
@@ -299,16 +295,9 @@ def cmd_iterate(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    # a forked child runs units 0, 2, 4, ... and this process 1, 3, ...; the
-    # child's rows come back as JSON, which round-trips every float exactly
-    units = checks.units(args.suite)
-    reply, own = _in_two_processes(
-        lambda: json.dumps([[asdict(c) for c in unit()] for unit in units[0::2]]),
-        lambda: [unit() for unit in units[1::2]],
-        f"the process running check units 0, 2, ... of suite {args.suite}",
-    )
-    shares = ([[checks.Check(**row) for row in rows] for rows in json.loads(reply)], own)
-    results = [c for i in range(len(units)) for c in shares[i % 2][i // 2]]
+    jobs = [lambda unit=unit: [asdict(c) for c in unit()] for unit in checks.units(args.suite)]
+    rows = _in_two_processes(jobs, f"the process running check units 0, 2, ... of suite {args.suite}")
+    results = [checks.Check(**row) for unit_rows in rows for row in unit_rows]
     passed = all(c.passed for c in results)
     if args.format == "csv":
         table = csv_rows(
@@ -345,7 +334,7 @@ def cmd_spectral(args: argparse.Namespace) -> int:
         raise UsageError(f"spectral --tmax {args.tmax}: {exc}") from exc
     g = _build_grid(args.dist, args.params, args.grid)
 
-    def cf_texts() -> str:
+    def cf_texts() -> dict[str, str]:
         phi = spectral.char_function(g)
         texts = {"cf_source.csv": _cf_csv(phi)}
         # the shift operator sequence, raw and renormalized to 1 at t=0, so the
@@ -355,17 +344,18 @@ def cmd_spectral(args: argparse.Namespace) -> int:
             texts[f"cf_shift_step{step}_raw.csv"] = _cf_csv(phi)
             renorm = spectral.CharFunction(phi.values / phi.at_zero())
             texts[f"cf_shift_step{step}_renormalized.csv"] = _cf_csv(renorm)
-        return json.dumps(texts)
+        return texts
 
-    def converge() -> spectral.ConvergenceDiagnostics:
+    def converge() -> dict[str, str]:
         try:
-            return spectral.gaussian_convergence(TransformKind(args.kind), g, args.n, tmax=args.tmax)
+            diag = spectral.gaussian_convergence(TransformKind(args.kind), g, args.n, tmax=args.tmax)
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
+        return {"diagnostics.csv": _diagnostics_csv(diag)}
 
     # a forked child formats the CF dumps while this process runs the convergence loop
-    reply, diag = _in_two_processes(cf_texts, converge, "the process formatting the CF dumps")
-    texts = {"diagnostics.csv": _diagnostics_csv(diag), **json.loads(reply)}
+    cf, diag = _in_two_processes([cf_texts, converge], "the process formatting the CF dumps")
+    texts = {**diag, **cf}
     outdir = args.outdir if args.outdir is not None else "spectral"
     os.makedirs(outdir, exist_ok=True)
     _write_files({os.path.join(outdir, name): text for name, text in texts.items()})

@@ -4,9 +4,10 @@ A density lives on n uniformly spaced nodes (n odd) spanning [lo, hi], and all
 integration is composite Simpson on that grid. The cumulative rule integrates
 the same local parabolas, so the running CDF agrees with the plain Simpson
 total at the last node; a density computes its CDF once, on first access, as
-`g.cdf`. For families whose density diverges at a support endpoint, the node range is inset by half a step so every sampled value is
-finite; for everything else nodes include the endpoints, which keeps exact
-node placement at round x values (the transforms are checked pointwise there).
+`g.cdf`. For families whose density diverges at a support endpoint, the node
+range is inset by half a step so every sampled value is finite; for
+everything else nodes include the endpoints, which keeps exact node placement
+at round x values (the transforms are checked pointwise there).
 """
 
 from __future__ import annotations

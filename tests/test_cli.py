@@ -155,6 +155,20 @@ def test_iterate_requires_positive_n_and_out(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_iterate_rejects_an_empty_out_before_building_the_grid(tmp_path, capsys, monkeypatch):
+    # an empty --out would name the sidecar ".diagnostics.json" in the
+    # working directory; it is refused before the grid is built
+    def build_grid(*args):
+        raise AssertionError("the grid was built")
+
+    monkeypatch.setattr(cli, "_build_grid", build_grid)
+    monkeypatch.chdir(tmp_path)
+    assert run("iterate", "--out", "") == 2
+    assert capsys.readouterr().err == ("error: iterate requires a non-empty --out"
+                                       " (a diagnostics sidecar is written next to it)\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_iterate_writes_trace_and_sidecar(tmp_path):
     out = tmp_path / "trace.csv"
     assert run("iterate", "--dist", "uniform", "--kind", "type3",
@@ -237,31 +251,21 @@ def test_iterate_exponential_median_stays_near_ln2(tmp_path):
     assert rows[2]["median"] == pytest.approx(math.log(2.0), abs=1e-3)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
-def test_iterate_writes_the_per_cell_reference(tmp_path, n):
+@pytest.mark.parametrize("nodes, n", [(129, 1), (129, 2), (129, 3), (4097, 3)], ids=["1", "2", "3", "4097-3"])
+def test_iterate_writes_the_per_cell_reference(tmp_path, nodes, n):
     # the forked child formats the even row blocks of every step and dlab the
-    # odd ones; dlab then writes the header and weaves the blocks together
+    # odd ones; dlab then writes the header and copies the blocks in job
+    # order. At 129 nodes the blocks hold 8 or 9 rows
     out = tmp_path / "t.csv"
-    assert run("iterate", "--dist", "normal", "--kind", "type1", "--grid", "129",
+    assert run("iterate", "--dist", "normal", "--kind", "type1", "--grid", str(nodes),
                "--n", str(n), "--out", str(out)) == 0
     _assert_no_child_left()
-    trace = iterate(TransformKind.TYPE1, from_analytic(DistributionSpec("normal"), 129), n)
+    trace = iterate(TransformKind.TYPE1, from_analytic(DistributionSpec("normal"), nodes), n)
     assert len(trace.steps) == n + 1
     assert out.read_text() == _trace_csv_reference(trace)
     rows = json.loads((tmp_path / "t.diagnostics.json").read_text(), object_pairs_hook=list)
     assert rows == [[("step", k), ("variance", d.variance), ("median", d.median), ("mean", d.mean),
                      ("integralError", d.integral_error)] for k, d in enumerate(trace.diagnostics)]
-
-
-@pytest.mark.parametrize("nodes", [129, 4097])
-def test_trace_blocks_of_both_processes_weave_into_the_reference(nodes):
-    # `dlab iterate` formats the even row blocks of every step in a forked
-    # child and the odd ones itself; at 129 nodes the blocks hold 8 or 9 rows
-    trace = iterate(TransformKind.TYPE3, from_analytic(DistributionSpec("uniform"), nodes), 3)
-    even, odd = (list(cli._trace_blocks(trace, share)) for share in (0, 1))
-    assert len(even) == len(odd) == len(trace.steps) * cli.TRACE_BLOCKS // 2
-    woven = "".join(block for pair in zip(even, odd, strict=True) for block in pair)
-    assert "step,x,f,F\n" + woven == _trace_csv_reference(trace)
 
 
 def test_iterate_formats_at_most_one_row_block_per_call(tmp_path, monkeypatch):
@@ -511,21 +515,34 @@ def test_failed_fork_exits_3_and_closes_the_pipe(tmp_path, capsys, monkeypatch, 
 
 
 def test_two_processes_return_a_reply_longer_than_the_pipe_buffer():
-    # ~1.5 MB of UTF-8, far past a pipe's buffer: if the helper reaped the
-    # child before reading its reply, both would block and the timeout fails
-    # the test instead of hanging the run
+    # ~1.5 MB of UTF-8 from a job of the forked child, far past a pipe's
+    # buffer: if the helper reaped the child before reading its reply, both
+    # would block and the timeout fails the test instead of hanging the run
     probe = textwrap.dedent("""
         from derangetropy.cli import _in_two_processes
         text = "".join(f"{i}:\\u00e9\\u2192\\U0001d53c;" for i in range(100_000))
-        reply, own = _in_two_processes(lambda: text, lambda: "parent", "the probe's child")
-        assert own == "parent"
-        assert reply == text, (len(reply), len(text))
+        results = _in_two_processes([lambda: text, lambda: "here", lambda: "child"], "the probe's child")
+        assert results == [text, "here", "child"], [len(r) for r in results]
         print(len(text.encode()))
     """)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert int(proc.stdout) > 1_400_000
+
+
+def _float_bits(value):
+    return [_float_bits(v) for v in value] if isinstance(value, list) else float.hex(value)
+
+
+def test_two_processes_return_every_result_in_job_order_bit_for_bit():
+    # each value is the result of jobs i and i + 5, so one of them runs in the
+    # forked child and comes back through JSON
+    values = [0.1 + 0.2, 5e-324, -0.0, math.nan, [math.inf, [-math.inf, [5e-324, -0.0]], []]]
+    results = cli._in_two_processes([lambda v=v: v for v in values * 2], "the probe's child")
+    _assert_no_child_left()
+    assert [_float_bits(r) for r in results] == [_float_bits(v) for v in values * 2]
+    assert math.isnan(results[3]) and math.isnan(results[8])
 
 
 # --- spectral -------------------------------------------------------------------

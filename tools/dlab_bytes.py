@@ -71,6 +71,8 @@ MATRIX: list[tuple[str, list[str]]] = [
     ("spectral-tmax-inf", ["spectral", "--tmax", "inf", "--outdir", "{out}/sp"]),
     ("spectral-tmax-past-cap", ["spectral", "--tmax", "1e300", "--outdir", "{out}/sp"]),
     ("transform-params-without-equals-sign", ["transform", "--params", "a", "--out", "{out}/t.csv"]),
+    # an empty --out would put the sidecar at ".diagnostics.json" in the working directory
+    ("iterate-empty-out", ["iterate", "--out", ""]),
     # the iteration stops at step 0, whose variance underflows to 0
     ("spectral-variance-underflow", ["spectral", "--dist", "exponential", "--params", "rate=1e307",
                                      "--grid", "129", "--n", "8", "--outdir", "{out}/sp"]),
