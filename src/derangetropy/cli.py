@@ -241,7 +241,7 @@ def _write_trace(fh: TextIO, path: str, trace: IterationTrace) -> None:
     """
     folder = os.path.dirname(path) or os.curdir
     bounds = [b * trace.steps[0].n // TRACE_BLOCKS for b in range(TRACE_BLOCKS + 1)]
-    x_cells: dict[int, list[str]] = {}
+    x_cells: dict[int, np.ndarray] = {}
     with tempfile.TemporaryFile(dir=folder) as even, tempfile.TemporaryFile(dir=folder) as odd:
         files = (even, odd)
 
@@ -249,9 +249,9 @@ def _write_trace(fh: TextIO, path: str, trace: IterationTrace) -> None:
             k, b = divmod(job, TRACE_BLOCKS)
             lo, hi = bounds[b], bounds[b + 1]
             if b not in x_cells:
-                x_cells[b] = csv_rows(trace.steps[0].xs[lo:hi]).splitlines()
+                x_cells[b] = np.array(csv_rows(trace.steps[0].xs[lo:hi]).encode().splitlines())
             g = trace.steps[k]
-            text = csv_rows([str(k)] * (hi - lo), x_cells[b], g.values[lo:hi], g.cdf[lo:hi])
+            text = csv_rows(np.full(hi - lo, k), x_cells[b], g.values[lo:hi], g.cdf[lo:hi])
             size = files[job % 2].write(text.encode())
             files[job % 2].flush()
             return size

@@ -32,6 +32,16 @@ def _trace_csv_reference(trace):
     )
 
 
+def _assert_same_lines(text, reference):
+    # line by line, failing on the first line that differs: pytest's diff of
+    # two whole traces of a megabyte or more runs for minutes
+    lines, expected = text.splitlines(keepends=True), reference.splitlines(keepends=True)
+    for number, (line, want) in enumerate(zip(lines, expected), start=1):
+        if line != want:
+            pytest.fail(f"line {number} is {line!r}, expected {want!r}")
+    assert len(lines) == len(expected), f"{len(lines)} lines, expected {len(expected)}"
+
+
 # --- argument handling --------------------------------------------------------
 
 
@@ -262,7 +272,7 @@ def test_iterate_writes_the_per_cell_reference(tmp_path, nodes, n):
     _assert_no_child_left()
     trace = iterate(TransformKind.TYPE1, from_analytic(DistributionSpec("normal"), nodes), n)
     assert len(trace.steps) == n + 1
-    assert out.read_text() == _trace_csv_reference(trace)
+    _assert_same_lines(out.read_text(), _trace_csv_reference(trace))
     rows = json.loads((tmp_path / "t.diagnostics.json").read_text(), object_pairs_hook=list)
     assert rows == [[("step", k), ("variance", d.variance), ("median", d.median), ("mean", d.mean),
                      ("integralError", d.integral_error)] for k, d in enumerate(trace.diagnostics)]

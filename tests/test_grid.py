@@ -1,4 +1,9 @@
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -425,3 +430,71 @@ def test_csv_rows_batched_bytes_match_per_cell_format(raw):
     names = [("", "a", "%s", "%.17g", "b,c")[i % 5] for i in range(x.shape[0])]
     expected = "".join(f"{a:.17g},{name},{b:.17g}\n" for a, name, b in zip(x.tolist(), names, y.tolist()))
     assert csv_rows(x, names, y) == expected
+
+
+def _assert_same_lines(got, want):
+    # names the first line that differs, where pytest would diff the whole lists
+    if got != want:
+        assert len(got) == len(want)
+        bad = [i for i, (line, ref) in enumerate(zip(got, want)) if line != ref]
+        pytest.fail(f"{len(bad)} lines differ; line {bad[0]} is {got[bad[0]]!r}, expected {want[bad[0]]!r}")
+
+
+def _assert_formats_as_percent(*columns):
+    # csv_rows against `%.17g` cell by cell
+    row = ",".join(["%.17g"] * len(columns)) + "\n"
+    want = (row * len(columns[0])) % tuple(chain.from_iterable(zip(*(c.tolist() for c in columns))))
+    _assert_same_lines(csv_rows(*columns).splitlines(), want.splitlines())
+
+
+def test_csv_rows_matches_percent_format_on_a_sweep_of_doubles():
+    # every power of two, among them cells on a half-way point between two
+    # 17-digit decimals (2**-25 = 2.98023223876953125e-08)
+    twos = np.ldexp(1.0, np.arange(-1074, 1024))
+    # every power of ten that is a double, and both its neighbours
+    tens = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    tens = np.concatenate([tens, np.nextafter(tens, 0.0), np.nextafter(tens, np.inf)])
+    # m 2**-q for small odd m, subnormals included
+    dyadic = np.ldexp(np.arange(1.0, 100.0, 2.0)[:, None], -np.arange(1075)[None, :]).ravel()
+    # where %.17g turns from fixed to exponential notation
+    edges = np.array([1e-5, 1e-4, 1e16, 1e17])
+    edges = np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, np.inf)])
+    x = np.concatenate([twos, tens, dyadic, edges, [0.0, np.inf, np.nan]])
+    x = np.concatenate([x, -x])
+    _assert_formats_as_percent(x, x[::-1])  # cells before a comma and before a newline
+    ints = np.array([0, 1, -7, 10**16, 10**17, 99999999999999999, 2**53 + 1, 2**63 - 1, -2**63])
+    _assert_formats_as_percent(ints, ints[::-1])
+    # arbitrary bit patterns: subnormals, infinities and NaNs among them
+    rng = np.random.default_rng(20250419)
+    _assert_formats_as_percent(rng.integers(0, 2**64, size=10**6, dtype=np.uint64).view(np.float64))
+
+
+def test_csv_rows_bytes_do_not_depend_on_the_simd_level(tmp_path):
+    # numpy's AVX-512 and AVX2 loops for log10 round some inputs 1 ulp away
+    # from its baseline loop; csv_rows uses log10 only as a guess that it
+    # corrects, so its bytes must not move
+    pytest.importorskip("numpy.lib.introspect")
+    child = textwrap.dedent("""
+        import numpy as np
+        from numpy.lib.introspect import opt_func_info
+        from derangetropy import csv_rows
+        info = opt_func_info(func_name="^(log10|floor|rint|multiply|add|subtract)$", signature="float64")
+        print(sorted(loop["current"] for loops in info.values() for loop in loops.values()))
+        tens = np.array([float(f"1e{k}") for k in range(-323, 309)])
+        bits = np.random.default_rng(7).integers(0, 2**64, size=2 * 10**5, dtype=np.uint64).view(np.float64)
+        x = np.concatenate([tens, np.nextafter(tens, 0.0), np.nextafter(tens, np.inf), bits])
+        with open("cells.csv", "w") as fh:
+            fh.write(csv_rows(x, x[::-1]))
+    """)
+    levels, texts = {}, {}
+    for name, disabled in (("default", ""), ("baseline", "X86_V4 X86_V3")):
+        cwd = tmp_path / name
+        cwd.mkdir()
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path), "NPY_DISABLE_CPU_FEATURES": disabled}
+        proc = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True, env=env, cwd=cwd)
+        assert proc.returncode == 0, proc.stderr
+        levels[name] = proc.stdout
+        texts[name] = (cwd / "cells.csv").read_text().splitlines()
+    if levels["default"] == levels["baseline"]:
+        pytest.skip(f"the float64 loops run at {levels['default'].strip()} either way")
+    _assert_same_lines(texts["baseline"], texts["default"])

@@ -86,6 +86,10 @@ MATRIX: list[tuple[str, list[str]]] = [
     *((f"transform-{fam}-params", ["transform", "--dist", fam, "--params", params, "--out", "{out}/t.csv"])
       for fam, params in (("uniform", "a=-3,b=0.1"), ("semicircle", "center=0.25,radius=3"),
                           ("arcsine", "a=-1,b=2"))),
+    # x cells near 1e-300 and f cells from 5e+285 to 8e+299: three-digit exponents both ways, and
+    # the cells below 1e-290 and from 1e280 up that csv_rows formats with `%` itself
+    ("transform-normal-tiny-scale", ["transform", "--dist", "normal", "--params", "mean=0,stddev=1e-300",
+                                     "--grid", "129", "--out", "{out}/t.csv"]),
 ]
 
 
